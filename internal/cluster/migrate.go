@@ -21,9 +21,9 @@ type MachineMigration struct {
 	ToSeq   uint64 `json:"to_seq"`
 	// KeysReseeded records that ReseedKeys ran on the restored process.
 	KeysReseeded bool `json:"keys_reseeded"`
-	// SharedKeys is the post-reseed probe verdict: true would mean the
-	// migrated machine still authenticates under the dead backend's
-	// keys — a protocol violation the soak gate fails on.
+	// SharedKeys is the post-reseed key comparison: true would mean the
+	// migrated machine still holds the dead backend's keys — a
+	// protocol violation the soak gate fails on.
 	SharedKeys bool `json:"shared_keys"`
 	// Repooled records that the survivor re-seeded its warm pool from
 	// the shipped image: subsequent requests for this scheme restore
@@ -57,7 +57,7 @@ type MigrationReport struct {
 //     warm-restore uses (program CRC, image CRC, journal agreement).
 //  4. Re-seed the restored process's PA keys (Section 4.3: a new
 //     incarnation must not inherit its predecessor's keys) and verify
-//     with a cross-process probe that no key survived.
+//     by comparing the two processes' keys that none survived.
 //  5. Commit a fresh checkpoint under the new keys, so the survivor's
 //     durable record never contains a restorable image keyed like the
 //     dead backend.
@@ -102,7 +102,7 @@ func MigrateMachines(from, to *Backend) (*MigrationReport, error) {
 		// A warm survivor re-pools the cargo: the resealed process (new
 		// keys, quiescent state) becomes the boot image its snapshot-fork
 		// pool restores from, so post-failover traffic for this scheme is
-		// served off the migrated state — and the pool's image-key probe
+		// served off the migrated state — and the pool's image-key check
 		// now guards against the *shipped* image's keys leaking into
 		// serving machines.
 		if to.Srv != nil && to.Srv.Config().Warm {

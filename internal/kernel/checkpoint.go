@@ -125,6 +125,15 @@ func (p *Process) ReseedKeys() {
 	}
 }
 
+// HasKeys reports whether p holds exactly the key set ks. This is the
+// exact §4.3 freshness check. A probe that seals one pointer under one
+// key set and authenticates it under the other would also pass for two
+// distinct key sets once in 2^(PAC bits).
+func (p *Process) HasKeys(ks pa.Keys) bool { return p.keys == ks }
+
+// SharesKeys reports whether p and q hold the same key set.
+func (p *Process) SharesKeys(q *Process) bool { return p.HasKeys(q.keys) }
+
 // Restore overwrites the process's state with the checkpoint. The
 // receiver must be a freshly booted process from the same program
 // image: Restore replaces the address space, key material and task

@@ -17,8 +17,8 @@
 // and the stack canary on every restore, in exactly the entropy-draw
 // order a cold boot uses (one key set, then one canary word) — which
 // is also what makes a warm request's outcome bit-identical to the
-// cold boot it replaces — and then probes the fresh incarnation
-// against the image keys, refusing to serve on a match.
+// cold boot it replaces — and then checks that the fresh incarnation
+// no longer holds the image keys, refusing to serve if it does.
 //
 // Machines are kept on per-worker shards (one free list per
 // internal/par worker, default) with a global overflow list, so the
@@ -82,7 +82,7 @@ func NewTelemetry(reg *telemetry.Registry) *Telemetry {
 		Occupancy:     reg.Gauge("pacstack_pool_occupancy", "warm-pool machines currently leased to requests"),
 		Restores:      reg.Counter("pacstack_pool_restores_total", "warm restores served from the boot image"),
 		ColdFallback:  reg.Counter("pacstack_pool_cold_fallback_total", "leases refused by an exhausted capped pool (request cold-booted)"),
-		KeyViolations: reg.Counter("pacstack_pool_key_violations_total", "warm restores that still authenticated image-key seals (§4.3 violation)"),
+		KeyViolations: reg.Counter("pacstack_pool_key_violations_total", "warm restores that still held the image keys (§4.3 violation)"),
 	}
 }
 
@@ -106,9 +106,8 @@ type Pool struct {
 	cfg Config
 	tel *Telemetry
 
-	mu      sync.RWMutex // guards boot / imgAuth (swapped by Adopt)
-	boot    *snap.BootImage
-	imgAuth *pa.Authenticator // probe authenticator under the image keys
+	mu   sync.RWMutex // guards boot (swapped by Adopt)
+	boot *snap.BootImage
 
 	shards   []shard
 	overflow shard
@@ -149,11 +148,10 @@ func New(cfg Config) (*Pool, error) {
 		return nil, fmt.Errorf("pool: checkpointing template: %w", err)
 	}
 	return &Pool{
-		cfg:     cfg,
-		tel:     cfg.Tel,
-		boot:    bi,
-		imgAuth: pa.New(bi.Keys(), cfg.PA),
-		shards:  make([]shard, cfg.Shards),
+		cfg:    cfg,
+		tel:    cfg.Tel,
+		boot:   bi,
+		shards: make([]shard, cfg.Shards),
 	}, nil
 }
 
@@ -174,7 +172,6 @@ func (p *Pool) Adopt(bi *snap.BootImage) error {
 	}
 	p.mu.Lock()
 	p.boot = bi
-	p.imgAuth = pa.New(bi.Keys(), p.cfg.PA)
 	p.mu.Unlock()
 	return nil
 }
@@ -275,13 +272,6 @@ func (s *shard) pop() *Machine {
 	return m
 }
 
-// Probe constants — same shape as supervise.SharedKeys, sealing under
-// the image keys and authenticating with the fresh incarnation.
-const (
-	probePtr = 0x10040
-	probeMod = 0xfeed
-)
-
 // Reset turns a leased machine into a pristine fresh incarnation: the
 // address space and task state come back from the shared boot image
 // (deep-copied — see snap.BootImage), the PA keys are re-seeded and
@@ -294,12 +284,12 @@ const (
 // warm request consumes the identical entropy stream as its cold-boot
 // counterpart and produces the identical outcome.
 //
-// Before returning, Reset probes the incarnation against the boot
-// image's keys (§4.3): a restore that still authenticates image-key
-// seals is refused and counted in pacstack_pool_key_violations_total.
+// Before returning, Reset compares the incarnation's keys with the
+// boot image's (§4.3): a restore that still holds the image keys is
+// refused and counted in pacstack_pool_key_violations_total.
 func (p *Pool) Reset(m *Machine) (*kernel.Process, error) {
 	p.mu.RLock()
-	bi, imgAuth := p.boot, p.imgAuth
+	bi := p.boot
 	p.mu.RUnlock()
 
 	if err := bi.Restore(m.Proc); err != nil {
@@ -314,8 +304,7 @@ func (p *Pool) Reset(m *Machine) (*kernel.Process, error) {
 	}
 	p.tel.Restores.Inc()
 
-	sealed := imgAuth.AddPAC(pa.KeyIA, probePtr, probeMod)
-	if _, ok := m.Proc.Auth.Auth(pa.KeyIA, sealed, probeMod); ok {
+	if m.Proc.HasKeys(bi.Keys()) {
 		p.tel.KeyViolations.Inc()
 		return nil, fmt.Errorf("pool: warm restore shares keys with the boot image (§4.3 violation)")
 	}

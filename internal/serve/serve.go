@@ -242,6 +242,14 @@ func (e *SilentCorruptionError) Error() string {
 		e.Output, e.ExitCode, e.Want, e.WantExit)
 }
 
+// BootError reports that no incarnation could be booted for the
+// request, so nothing ran: for example a warm restore the pool refused.
+// The HTTP layer maps it to 500.
+type BootError struct{ Err error }
+
+func (e *BootError) Error() string { return "serve: boot failed: " + e.Err.Error() }
+func (e *BootError) Unwrap() error { return e.Err }
+
 // ErrDeadline reports that the request's deadline expired mid-run; the
 // victim was abandoned, not killed. Mapped to 504.
 var ErrDeadline = errors.New("serve: request deadline exceeded")
@@ -620,6 +628,9 @@ func (s *Server) execute(ctx context.Context, eng *fault.Engine, scheme compile.
 			injected++
 		}
 	})
+	if proc == nil {
+		return nil, &BootError{Err: runErr}
+	}
 	if runErr != nil && errors.Is(runErr, kernel.ErrCancelled) {
 		return nil, fmt.Errorf("%w: %w", ErrDeadline, runErr)
 	}

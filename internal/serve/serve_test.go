@@ -15,6 +15,7 @@ import (
 	"pacstack/internal/fault"
 	"pacstack/internal/ir"
 	"pacstack/internal/resilience"
+	"pacstack/internal/telemetry"
 )
 
 // slowProgram exits cleanly after ~2M loop iterations — long enough
@@ -64,6 +65,42 @@ func TestDoDeterministicForSeededRequest(t *testing.T) {
 	}
 	if !reflect.DeepEqual(r1, r2) {
 		t.Fatalf("results diverged:\n%+v\n%+v", r1, r2)
+	}
+}
+
+// TestWarmMatchesColdOnProbeCollision: on a seed-1 server, request
+// seed 79721 draws keys whose 16-bit PAC of a single probe pointer
+// matches the one the boot-image keys produce. A warm lease must still
+// serve it with the cold outcome: key freshness is an exact comparison,
+// so no key violation is counted, no nil process reaches the
+// classifier, and clean serving authenticates nothing that fails.
+func TestWarmMatchesColdOnProbeCollision(t *testing.T) {
+	req := Request{Workload: "chain", Scheme: "pacstack", Seed: 79721}
+	cold, err := New(Config{Seed: 1}).Do(context.Background(), req)
+	if err != nil {
+		t.Fatalf("cold: %v", err)
+	}
+	set := telemetry.New(telemetry.Options{})
+	warmSrv := New(Config{Seed: 1, Warm: true, Telemetry: set})
+	warm, err := warmSrv.Do(context.Background(), req)
+	if err != nil {
+		t.Fatalf("warm: %v", err)
+	}
+	if !reflect.DeepEqual(cold, warm) {
+		t.Fatalf("warm result diverged from cold:\n%+v\n%+v", warm, cold)
+	}
+	if restores, _, violations, _ := warmSrv.PoolStats(); restores != 1 || violations != 0 {
+		t.Fatalf("pool restores %d, key violations %d; want 1 and 0", restores, violations)
+	}
+	for _, f := range set.Registry().Gather().Families {
+		if f.Name != "pacstack_pa_auth_fail_total" {
+			continue
+		}
+		for _, se := range f.Series {
+			if se.Value != 0 {
+				t.Fatalf("clean warm request counted %d auth failure(s)", se.Value)
+			}
+		}
 	}
 }
 

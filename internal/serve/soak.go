@@ -311,7 +311,7 @@ type SoakReport struct {
 
 	// Warm-model pool traffic, read from the pool counters after the
 	// precompute phase: restores served, leases refused by a capped
-	// pool, and §4.3 image-key probe violations (must be zero).
+	// pool, and §4.3 image-key violations (must be zero).
 	PoolRestores      uint64 `json:"pool_restores,omitempty"`
 	PoolColdFallbacks uint64 `json:"pool_cold_fallbacks,omitempty"`
 	PoolKeyViolations uint64 `json:"pool_key_violations,omitempty"`

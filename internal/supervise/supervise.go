@@ -24,7 +24,6 @@ import (
 	"pacstack/internal/compile"
 	"pacstack/internal/cpu"
 	"pacstack/internal/kernel"
-	"pacstack/internal/pa"
 	"pacstack/internal/snap"
 	"pacstack/internal/telemetry"
 )
@@ -425,16 +424,10 @@ func (s *Supervisor) WatchdogKills() int {
 	return n
 }
 
-// SharedKeys reports whether two attempt processes authenticate each
-// other's pointers — true under fork respawn, false (with high
-// probability) under exec respawn. It probes with an instruction-key
-// PAC rather than comparing unexported key material.
-func SharedKeys(a, b *kernel.Process) bool {
-	const ptr, mod = 0x10040, 0xfeed
-	sealed := a.Auth.AddPAC(pa.KeyIA, ptr, mod)
-	_, ok := b.Auth.Auth(pa.KeyIA, sealed, mod)
-	return ok
-}
+// SharedKeys reports whether two attempt processes hold the same PA
+// keys: true under fork respawn, false under exec respawn. The kernel
+// compares the key registers exactly.
+func SharedKeys(a, b *kernel.Process) bool { return a.SharesKeys(b) }
 
 // StackTop is a convenience for mutate callbacks that need the
 // victim's initial SP.
