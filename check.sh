@@ -1,8 +1,10 @@
 #!/bin/sh
 # Repository gate: everything must build, pass vet, pass the full test
 # suite with the race detector on (which includes the serial-vs-
-# parallel determinism tests), and keep every benchmark runnable so
-# the perf trajectory (bench.sh / BENCH_*.json) cannot rot.
+# parallel determinism tests and TestSoakGoldens, which pins every soak
+# scenario's report, SLO report and telemetry dump against
+# testdata/soak at precompute widths 1 and 8), and keep every benchmark
+# runnable so the perf trajectory (bench.sh / BENCH_*.json) cannot rot.
 set -eux
 cd "$(dirname "$0")"
 go build ./...
@@ -20,22 +22,6 @@ go test -race -run 'TestBlock|TestSetRegsForcesXZRSlot' ./internal/cpu
 go test -race -run 'BlockEngineDeterminism' .
 go test -run=NONE -bench '^BenchmarkEngine$' -benchtime=1x .
 
-# Seeded chaos-soak smoke: a few seconds of virtual-time traffic with
-# ~10% fault injection against the serving layer, race detector on.
-# -check fails the gate on any silent corruption or a non-graceful end
-# (a request that never reached a terminal state); the double run plus
-# cmp enforces the byte-identical-report reproducibility criterion.
-SOAK_FLAGS="-clients 6 -requests 12 -seed 7 -chaos-rate 0.1 -heal 1"
-go run -race ./cmd/pacstack-soak $SOAK_FLAGS -check -telemetry-dump /tmp/pacstack-tel-a.json > /tmp/pacstack-soak-a.txt
-go run -race ./cmd/pacstack-soak $SOAK_FLAGS -check -telemetry-dump /tmp/pacstack-tel-b.json > /tmp/pacstack-soak-b.txt
-cmp /tmp/pacstack-soak-a.txt /tmp/pacstack-soak-b.txt
-# Telemetry determinism: the same double run must emit byte-identical
-# metrics + security-event dumps — counters from the parallel phase
-# commute, events come only from the serial virtual-time replay, and
-# the injected clock keeps wall time out of both.
-cmp /tmp/pacstack-tel-a.json /tmp/pacstack-tel-b.json
-rm -f /tmp/pacstack-soak-a.txt /tmp/pacstack-soak-b.txt /tmp/pacstack-tel-a.json /tmp/pacstack-tel-b.json
-
 # Crash-consistency gate: the torn-write crash matrix (every commit-
 # protocol offset x 8 seeds, plus seeded bit rot / truncation /
 # duplicate-rename faults). The binary exits non-zero on any silent
@@ -47,69 +33,11 @@ go run -race ./cmd/pacstack-snap -crash-matrix -json > /tmp/pacstack-snap-b.json
 cmp /tmp/pacstack-snap-a.json /tmp/pacstack-snap-b.json
 rm -f /tmp/pacstack-snap-a.json /tmp/pacstack-snap-b.json
 
-# Cluster failover smoke: a 3-backend fleet loses one backend mid-soak
-# (seeded victim at virtual cycle 40000); its machines migrate over the
-# snap codec with re-seeded keys and its in-flight requests replay
-# exactly once. -check exits non-zero unless every request reached a
-# terminal state with zero silent losses, zero shared-key violations,
-# zero double replays, and the restart budget charged exactly once.
-# The two runs differ only in precompute pool width (-par 1 vs 8); cmp
-# on the JSON report and the telemetry dump enforces that the report
-# is a pure function of the seed, independent of parallelism.
-CLUSTER_FLAGS="-backends 3 -clients 6 -requests 10 -seed 11 -chaos-rate 0.1 -heal 1 -kill-at 40000"
-go run -race ./cmd/pacstack-cluster $CLUSTER_FLAGS -par 1 -check -json -telemetry-dump /tmp/pacstack-cluster-tel-a.json > /tmp/pacstack-cluster-a.json
-go run -race ./cmd/pacstack-cluster $CLUSTER_FLAGS -par 8 -check -json -telemetry-dump /tmp/pacstack-cluster-tel-b.json > /tmp/pacstack-cluster-b.json
-cmp /tmp/pacstack-cluster-a.json /tmp/pacstack-cluster-b.json
-cmp /tmp/pacstack-cluster-tel-a.json /tmp/pacstack-cluster-tel-b.json
-rm -f /tmp/pacstack-cluster-a.json /tmp/pacstack-cluster-b.json \
-      /tmp/pacstack-cluster-tel-a.json /tmp/pacstack-cluster-tel-b.json
-
-# Cascading-failure smoke: the fleet loses two backends (seeded
-# victims) with -failover-budget 2 — both kills must be absorbed, each
-# charging the budget once, each dead backend's machines migrated and
-# its orphans replayed exactly once. Same -par 1 vs 8 cmp as above.
-CASCADE_FLAGS="-backends 3 -clients 6 -requests 10 -seed 11 -chaos-rate 0.1 -heal 1 -kill-at 40000,60000 -failover-budget 2"
-go run -race ./cmd/pacstack-cluster $CASCADE_FLAGS -par 1 -check -json > /tmp/pacstack-cascade-a.json
-go run -race ./cmd/pacstack-cluster $CASCADE_FLAGS -par 8 -check -json > /tmp/pacstack-cascade-b.json
-cmp /tmp/pacstack-cascade-a.json /tmp/pacstack-cascade-b.json
-rm -f /tmp/pacstack-cascade-a.json /tmp/pacstack-cascade-b.json
-
-# Heavy-tail traffic + SLO smoke: the open-loop burst scenario under
-# adaptive admission. The two runs differ only in precompute width
-# (-par 1 vs 8); cmp on the SLO report and the telemetry dump enforces
-# that SLO evaluation is a pure function of the seed.
-TRAFFIC_FLAGS="-traffic burst -seed 42 -workers 4 -cores 32 -chaos-rate 0.02 -heal 1 -adaptive"
-go run -race ./cmd/pacstack-soak $TRAFFIC_FLAGS -par 1 -check -slo-report /tmp/pacstack-slo-a.json -telemetry-dump /tmp/pacstack-traffic-tel-a.json > /tmp/pacstack-traffic-a.txt
-go run -race ./cmd/pacstack-soak $TRAFFIC_FLAGS -par 8 -check -slo-report /tmp/pacstack-slo-b.json -telemetry-dump /tmp/pacstack-traffic-tel-b.json > /tmp/pacstack-traffic-b.txt
-cmp /tmp/pacstack-traffic-a.txt /tmp/pacstack-traffic-b.txt
-cmp /tmp/pacstack-slo-a.json /tmp/pacstack-slo-b.json
-cmp /tmp/pacstack-traffic-tel-a.json /tmp/pacstack-traffic-tel-b.json
-rm -f /tmp/pacstack-traffic-a.txt /tmp/pacstack-traffic-b.txt \
-      /tmp/pacstack-slo-a.json /tmp/pacstack-slo-b.json \
-      /tmp/pacstack-traffic-tel-a.json /tmp/pacstack-traffic-tel-b.json
-
 # Overload-control gate: the canned 10x burst must break static
 # admission (shed/error budgets blown) while the AIMD-resized pool
 # holds every class SLO — non-zero exit unless both halves hold, so
 # neither a toothless scenario nor a regressed controller can pass.
 go run -race ./cmd/pacstack-soak -traffic-gate -seed 42 -workers 4 -cores 32 -chaos-rate 0.02 -heal 1 > /dev/null
-
-# Chaos-mesh smoke: the canned gray-backend burst — one backend behind
-# a slow, lossy, never-dead link — under the full resilience stack
-# (hedged requests, cluster-global retry budget, outlier ejection,
-# priority brownout). The two runs differ only in precompute width
-# (-par 1 vs 8); cmp on the rendered report, the SLO report, and the
-# telemetry dump enforces that the fault mesh and every defense layer
-# replay as pure functions of the seed.
-MESH_FLAGS="-traffic burst -seed 42 -backends 3 -workers 4 -cores 4 -queue 8 -chaos-rate 0.02 -heal 1 -mesh-gray 0 -resilient"
-go run -race ./cmd/pacstack-cluster $MESH_FLAGS -par 1 -check -slo-report /tmp/pacstack-mesh-slo-a.json -telemetry-dump /tmp/pacstack-mesh-tel-a.json > /tmp/pacstack-mesh-a.txt
-go run -race ./cmd/pacstack-cluster $MESH_FLAGS -par 8 -check -slo-report /tmp/pacstack-mesh-slo-b.json -telemetry-dump /tmp/pacstack-mesh-tel-b.json > /tmp/pacstack-mesh-b.txt
-cmp /tmp/pacstack-mesh-a.txt /tmp/pacstack-mesh-b.txt
-cmp /tmp/pacstack-mesh-slo-a.json /tmp/pacstack-mesh-slo-b.json
-cmp /tmp/pacstack-mesh-tel-a.json /tmp/pacstack-mesh-tel-b.json
-rm -f /tmp/pacstack-mesh-a.txt /tmp/pacstack-mesh-b.txt \
-      /tmp/pacstack-mesh-slo-a.json /tmp/pacstack-mesh-slo-b.json \
-      /tmp/pacstack-mesh-tel-a.json /tmp/pacstack-mesh-tel-b.json
 
 # Chaos-mesh gate: the same scenario naive vs resilient — non-zero
 # exit unless the naive fleet demonstrably blows at least one class
@@ -119,24 +47,10 @@ rm -f /tmp/pacstack-mesh-a.txt /tmp/pacstack-mesh-b.txt \
 # the configured retry budget.
 go run -race ./cmd/pacstack-cluster -mesh-gate -seed 42 > /dev/null
 
-# Warm-pool determinism: the same soak served from the snapshot-fork
-# pools (-boot-model warm: every request leases a pooled machine,
-# restores it from the in-memory boot image and re-seeds its PA keys)
-# must stay a pure function of the seed. The two runs differ only in
-# precompute pool width (-par 1 vs 8); cmp on the rendered report and
-# the telemetry dump — which includes pacstack_pool_restores_total and
-# friends — enforces that pool serving leaks no scheduling into either.
-go run -race ./cmd/pacstack-soak $SOAK_FLAGS -boot-model warm -par 1 -check -telemetry-dump /tmp/pacstack-warm-tel-a.json > /tmp/pacstack-warm-a.txt
-go run -race ./cmd/pacstack-soak $SOAK_FLAGS -boot-model warm -par 8 -check -telemetry-dump /tmp/pacstack-warm-tel-b.json > /tmp/pacstack-warm-b.txt
-cmp /tmp/pacstack-warm-a.txt /tmp/pacstack-warm-b.txt
-cmp /tmp/pacstack-warm-tel-a.json /tmp/pacstack-warm-tel-b.json
-rm -f /tmp/pacstack-warm-a.txt /tmp/pacstack-warm-b.txt \
-      /tmp/pacstack-warm-tel-a.json /tmp/pacstack-warm-tel-b.json
-
 # Warm-pool gate: cold-model vs warm-model at one seed — non-zero exit
 # unless the closed-loop halves agree EXACTLY on every outcome count
 # (the §4.3 draw-parity property measured end to end) with warm goodput
 # >= 10x cold, the boot-dominated open-loop half clears 20x, both warm
-# halves actually served from the pools, and zero image-key probe
+# halves actually served from the pools, and zero image-key
 # violations were recorded anywhere.
-go run -race ./cmd/pacstack-soak -warm-gate $SOAK_FLAGS > /dev/null
+go run -race ./cmd/pacstack-soak -warm-gate -clients 6 -requests 12 -seed 7 -chaos-rate 0.1 -heal 1 > /dev/null

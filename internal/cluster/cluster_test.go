@@ -1,14 +1,11 @@
 package cluster
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"testing"
 
 	"pacstack/internal/fault"
-	"pacstack/internal/par"
 	"pacstack/internal/resilience"
 	"pacstack/internal/serve"
 	"pacstack/internal/supervise"
@@ -77,38 +74,6 @@ func killSoakConfig(tel *telemetry.Set) SoakConfig {
 		Backends: 3, Clients: 6, Requests: 10, Seed: 11,
 		ChaosRate: 0.1, Heal: 1, KillAt: 40_000, KillBackend: -1,
 		Telemetry: tel,
-	}
-}
-
-// TestClusterSoakDeterministicAcrossWidths: the report and the full
-// telemetry dump are byte-identical for one seed regardless of the
-// precompute pool width — the property check.sh's cmp gate enforces.
-func TestClusterSoakDeterministicAcrossWidths(t *testing.T) {
-	run := func(width int) ([]byte, []byte) {
-		restore := par.SetWorkers(width)
-		defer restore()
-		tel := telemetry.New(telemetry.Options{})
-		rep, err := Soak(context.Background(), killSoakConfig(tel))
-		if err != nil {
-			t.Fatal(err)
-		}
-		repJSON, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var telJSON bytes.Buffer
-		if err := tel.WriteJSON(&telJSON); err != nil {
-			t.Fatal(err)
-		}
-		return repJSON, telJSON.Bytes()
-	}
-	rep1, tel1 := run(1)
-	rep8, tel8 := run(8)
-	if !bytes.Equal(rep1, rep8) {
-		t.Errorf("report differs between -par 1 and -par 8:\n%s\nvs\n%s", rep1, rep8)
-	}
-	if !bytes.Equal(tel1, tel8) {
-		t.Errorf("telemetry dump differs between -par 1 and -par 8")
 	}
 }
 

@@ -3,14 +3,11 @@ package cluster
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"testing"
 
 	"pacstack/internal/mesh"
-	"pacstack/internal/par"
 	"pacstack/internal/resilience"
-	"pacstack/internal/telemetry"
 	"pacstack/internal/traffic"
 )
 
@@ -73,43 +70,6 @@ func TestMeshGateNaiveVsResilient(t *testing.T) {
 	}
 	if got, bound := resilient.Budget.Granted, resilient.BudgetBound; got > bound {
 		t.Errorf("retry amplification %d secondaries over the bound %d", got, bound)
-	}
-}
-
-// TestTrafficSoakDeterministicAcrossWidths: the mesh soak's report,
-// SLO report and telemetry dump are byte-identical for one seed at
-// any precompute pool width — the property the check.sh mesh cmp gate
-// enforces, with every new mechanism (mesh sampling, hedging,
-// ejection, brownout, vertical scaling) active.
-func TestTrafficSoakDeterministicAcrossWidths(t *testing.T) {
-	run := func(width int) ([]byte, []byte) {
-		restore := par.SetWorkers(width)
-		defer restore()
-		tel := telemetry.New(telemetry.Options{})
-		cfg := MeshGateConfig(42, true)
-		cfg.VerticalAdaptive = &resilience.AIMDConfig{Start: 2, Max: 16}
-		cfg.Telemetry = tel
-		rep, err := Soak(context.Background(), cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		repJSON, err := json.Marshal(rep)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var telJSON bytes.Buffer
-		if err := tel.WriteJSON(&telJSON); err != nil {
-			t.Fatal(err)
-		}
-		return repJSON, telJSON.Bytes()
-	}
-	rep1, tel1 := run(1)
-	rep8, tel8 := run(8)
-	if !bytes.Equal(rep1, rep8) {
-		t.Errorf("report differs between -par 1 and -par 8:\n%s\nvs\n%s", rep1, rep8)
-	}
-	if !bytes.Equal(tel1, tel8) {
-		t.Errorf("telemetry dump differs between -par 1 and -par 8")
 	}
 }
 
