@@ -31,16 +31,6 @@ import (
 	"pacstack/internal/telemetry"
 )
 
-// mix folds values into one seed (splitmix64 finalizer), the same
-// derivation idiom the serving layer uses: request and backend
-// identity address their entropy, scheduling never does.
-func mix(a, b int64) int64 {
-	z := uint64(a)*0x9e3779b97f4a7c15 + uint64(b)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
-}
-
 // Machine is one resident simulated machine on a backend: a booted,
 // hardened, never-run incarnation of a (workload, scheme) image,
 // checkpointed into its own crash-consistent store at boot. Resident
@@ -90,11 +80,11 @@ type Backend struct {
 }
 
 // NewBackend returns an alive backend with its own seeded kernel
-// (mix(seed, index) — backend identity addresses its entropy) and no
+// (serve.Mix(seed, index) — backend identity addresses its entropy) and no
 // resident machines yet.
 func NewBackend(index int, seed int64) *Backend {
 	k := kernel.New(pa.DefaultConfig())
-	k.Seed(mix(seed, int64(index)+0xbac))
+	k.Seed(serve.Mix(seed, int64(index)+0xbac))
 	return &Backend{Index: index, Kernel: k, alive: true}
 }
 
@@ -177,7 +167,7 @@ func NewBackendBreaker(idx int, threshold int, cooldown uint64, seed int64, tel 
 	return resilience.NewBreaker(resilience.BreakerConfig{
 		Threshold: threshold,
 		Cooldown:  cooldown,
-		Seed:      mix(seed, int64(idx)+0x9a0),
+		Seed:      serve.Mix(seed, int64(idx)+0x9a0),
 		OnTransition: func(now uint64, from, to resilience.BreakerState) {
 			if transitions != nil {
 				transitions.With(fmt.Sprint(idx), to.String()).Inc()

@@ -116,9 +116,10 @@ type Cluster struct {
 }
 
 // New builds the fleet: each backend gets a serve.Server seeded
-// mix(seed, index) sharing the cluster telemetry set, a router-facing
-// breaker, and its resident machines booted and checkpointed. Machine
-// boot failures (unknown scheme) surface here, before traffic.
+// serve.Mix(seed, index) sharing the cluster telemetry set, a
+// router-facing breaker, and its resident machines booted and
+// checkpointed. Machine boot failures (unknown scheme) surface here,
+// before traffic.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	reg := cfg.Telemetry.Registry()
@@ -157,7 +158,7 @@ func New(cfg Config) (*Cluster, error) {
 			b.Breaker = NewBackendBreaker(i, cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Seed, cfg.Telemetry, c.transVec)
 		}
 		bcfg := cfg.Backend
-		bcfg.Seed = mix(cfg.Seed, int64(i)+0x5e1)
+		bcfg.Seed = serve.Mix(cfg.Seed, int64(i)+0x5e1)
 		bcfg.Telemetry = cfg.Telemetry
 		b.Srv = serve.New(bcfg)
 		for _, name := range cfg.MachineSchemes {

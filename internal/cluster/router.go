@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"pacstack/internal/resilience"
+	"pacstack/internal/serve"
 )
 
 // Router ranks the cluster's backends for one routing decision. The
@@ -19,7 +20,7 @@ type Router struct {
 
 // NewRouter returns a router whose tie-break stream is fixed by seed.
 func NewRouter(seed int64) *Router {
-	return &Router{rng: rand.New(rand.NewSource(mix(seed, 0x707)))}
+	return &Router{rng: rand.New(rand.NewSource(serve.Mix(seed, 0x707)))}
 }
 
 // stateRank orders breaker states by routing preference.

@@ -1,31 +1,30 @@
-// The cluster soak: the serving layer's deterministic virtual-time
-// simulation (serve.Soak) promoted to fleet scale. The same two-phase
-// trick carries over — request outcomes are precomputed in parallel as
-// pure functions of request identity, and the traffic dynamics replay
-// serially through an event heap — but the replay now models N
-// backends, each with its own capacity, queue, and breaker; a
-// breaker-aware router; and, at a chosen virtual instant, the death of
-// one backend mid-soak: its machines migrate over the snap codec with
-// re-seeded keys, its in-flight requests replay exactly once on the
-// survivors, and the failover charges the cluster restart budget once.
+// The cluster soak: the serving tier's deterministic virtual-time
+// simulation promoted to fleet scale, on the same discrete-event core
+// (serve.Precompute, serve.Queue, serve.Tally; see internal/serve's
+// des.go). Closed-loop clients (serve.Clients) drive a replay that
+// models N backends, each with its own capacity, queue and breaker; a
+// breaker-aware router; and, at chosen virtual instants, the death of
+// backends mid-soak: a dead backend's machines migrate over the snap
+// codec with re-seeded keys, its in-flight requests replay exactly once
+// on the survivors, and each absorbed failover charges the cluster
+// restart budget once. Same-instant issues are admitted as one batch
+// through the breakers' GrantProbes. The open-loop mesh soak
+// (traffic.go) is the cluster's second replay.
 //
 // Same seed and knobs in, byte-identical ClusterReport (and telemetry
-// dump) out, regardless of worker-pool width — check.sh diffs two runs
-// at -par 1 and -par 8 to hold the line.
+// dump) out, regardless of worker-pool width; TestSoakGoldens pins it.
 
 package cluster
 
 import (
-	"container/heap"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
 
 	"pacstack/internal/fault"
+	"pacstack/internal/ir"
 	"pacstack/internal/mesh"
-	"pacstack/internal/par"
 	"pacstack/internal/resilience"
 	"pacstack/internal/serve"
 	"pacstack/internal/snap"
@@ -242,12 +241,9 @@ type KillRow struct {
 // BackendRow is the per-backend breakdown: what the router sent it,
 // what came back, and its failover traffic.
 type BackendRow struct {
-	Backend       int    `json:"backend"`
-	Routed        int    `json:"routed"`
-	OK            int    `json:"ok"`
-	Healed        int    `json:"healed"`
-	Detected      int    `json:"detected"`
-	Silent        int    `json:"silent"`
+	Backend int `json:"backend"`
+	Routed  int `json:"routed"`
+	serve.Counts
 	Sheds         int    `json:"sheds"`
 	BreakerDenied int    `json:"breaker_denied"`
 	Replayed      int    `json:"replayed"`
@@ -290,24 +286,7 @@ type ClusterReport struct {
 	Kills      []KillRow          `json:"kills,omitempty"`
 	Migrations []*MigrationReport `json:"migrations,omitempty"`
 
-	Issued   int `json:"issued"`
-	OK       int `json:"ok"`
-	Healed   int `json:"healed"`
-	Detected int `json:"detected"`
-	Silent   int `json:"silent"`
-	GaveUp   int `json:"gave_up"`
-
-	ByCause [fault.NumCauses]int `json:"-"`
-	Causes  []serve.SchemeCount  `json:"detected_by_cause,omitempty"`
-
-	Injected    int `json:"injected_faults"`
-	Checkpoints int `json:"checkpoints,omitempty"`
-	Restores    int `json:"restores,omitempty"`
-	TornCommits int `json:"torn_commits,omitempty"`
-
-	Retries       int `json:"retries"`
-	Sheds         int `json:"sheds"`
-	BreakerDenied int `json:"breaker_denied"`
+	serve.Tally
 
 	// Failover accounting. OrphansExecuting/OrphansQueued is the dead
 	// backend's in-flight split at the kill; Replayed of them were
@@ -406,72 +385,84 @@ func (r *ClusterReport) Check() error {
 	return nil
 }
 
-// soakOutcome is one precomputed request execution result — identical
-// in role to serve.Soak's: a pure function of request identity, so the
-// replay (and any replay-after-failover) charges it exactly once.
-type soakOutcome struct {
-	class       int
-	cause       fault.Cause
-	cycles      uint64
-	healed      bool
-	injected    int
-	checkpoints int
-	restores    int
-	torn        int
-}
-
+// Event kinds of the two cluster replays.
 const (
-	classOK = iota
-	classDetected
-	classSilent
-)
-
-// event kinds for the virtual-time replay.
-const (
-	evIssue   = iota // client (re)submits a request
+	evIssue   = iota // a request is (re)submitted
 	evDone           // a backend finishes an execution
-	evKill           // the kill-a-backend-mid-soak scenario fires
+	evKill           // a scheduled backend death fires
 	evTick           // a windowed controller closes a window (traffic mode)
 	evHedge          // a primary's hedge deadline fires (traffic mode)
 	evTimeout        // a mesh-dropped attempt's deadline fires (traffic mode)
 )
 
-type event struct {
-	at      uint64
-	seq     int
-	kind    int
-	client  int
-	req     int
-	attempt int // evIssue: submission attempt
-	bk      int // evDone: executing backend
-	gen     int // evDone: request generation (stale after an orphaning)
+// fleetBackend is one backend's replay state.
+type fleetBackend struct {
+	b     *Backend
+	busy  int
+	fifo  []int // queued request ids; attempt tokens in traffic mode
+	cores int   // modelled core count (traffic mode)
+	ctl   *resilience.AIMD
+	svc   *telemetry.Histogram
+	row   BackendRow
 }
 
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// bootFleet builds the soak's backends from real Backend objects: each
+// with its own seeded kernel, a breaker unless disabled, and one
+// resident machine per scheme (migration cargo, and the key domains the
+// hedge check compares). The replays model execution capacity on top.
+func bootFleet(cfg SoakConfig, prog *ir.Program, schemes []string) ([]*fleetBackend, error) {
+	reg := cfg.Telemetry.Registry()
+	transitions := reg.CounterVec("pacstack_cluster_breaker_transitions_total", "backend breaker state changes", "backend", "to")
+	eng := fault.NewEngine(prog)
+	var snapTel *snap.Telemetry
+	if reg != nil {
+		snapTel = snap.NewTelemetry(reg)
 	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
+	fleet := make([]*fleetBackend, cfg.Backends)
+	for i := range fleet {
+		b := NewBackend(i, cfg.Seed)
+		b.SnapTel = snapTel
+		if cfg.BreakerThreshold > 0 {
+			b.Breaker = NewBackendBreaker(i, cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Seed, cfg.Telemetry, transitions)
+		}
+		for _, name := range uniqueSorted(schemes) {
+			if _, err := b.BootMachine(eng, name); err != nil {
+				return nil, err
+			}
+		}
+		fleet[i] = &fleetBackend{b: b, row: BackendRow{Backend: i, Alive: true}}
+	}
+	return fleet, nil
 }
 
-// desBackend is one backend's replay state.
-type desBackend struct {
-	b    *Backend
-	busy int
-	fifo []int // request ids queued, FIFO
-	row  BackendRow
+// route ranks the candidate backends at now: breaker state first, then
+// load (executing plus queued requests).
+func route(router *Router, fleet []*fleetBackend, now uint64, candidates []int) []int {
+	return router.Order(now, candidates, func(i int) resilience.BreakerState {
+		if br := fleet[i].b.Breaker; br != nil {
+			return br.State(now)
+		}
+		return resilience.BreakerClosed
+	}, func(i int) int { return fleet[i].busy + len(fleet[i].fifo) })
+}
+
+// precompute runs serve.Precompute with the soak's chaos, heal,
+// checkpoint and telemetry knobs. Request identity fixes each seed;
+// which backend ends up executing a request is a routing fact, not an
+// entropy source, which is why a migrated or hedged request can run
+// elsewhere and still produce the same answer.
+func precompute(ctx context.Context, cfg SoakConfig, arrivals []traffic.Arrival, seed func(int) int64) ([]serve.Outcome, error) {
+	outcomes, _, err := serve.Precompute(ctx, serve.Config{
+		Seed:            cfg.Seed,
+		Chaos:           cfg.ChaosRate > 0,
+		ChaosRate:       cfg.ChaosRate,
+		ChaosKinds:      cfg.ChaosKinds,
+		Heal:            cfg.Heal,
+		CheckpointEvery: cfg.CheckpointEvery,
+		CheckpointCrash: cfg.CheckpointCrash,
+		Telemetry:       cfg.Telemetry,
+	}, arrivals, seed)
+	return outcomes, err
 }
 
 // Soak runs the cluster simulation. ctx bounds the parallel precompute
@@ -524,23 +515,14 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 	}
 	sort.SliceStable(kills, func(i, j int) bool { return kills[i].At < kills[j].At })
 
-	// Virtual-time telemetry, exactly as in serve.Soak: phase 1 only
-	// adds counters (commutative); every event records from the serial
-	// replay under the injected virtual clock.
-	vnow := uint64(0)
-	if cfg.Telemetry != nil {
-		vclock := func() uint64 { return vnow }
-		cfg.Telemetry.Registry().SetClock(vclock)
-		cfg.Telemetry.Log().SetClock(vclock)
-	}
+	q := &serve.Queue{}
+	q.Stamp(cfg.Telemetry)
 	reg := cfg.Telemetry.Registry()
 	tlog := cfg.Telemetry.Log()
-
 	routedVec := reg.CounterVec("pacstack_cluster_routed_total", "requests admitted per backend", "backend")
 	shedsVec := reg.CounterVec("pacstack_cluster_sheds_total", "arrivals shed per backend (queue full)", "backend")
 	deniedVec := reg.CounterVec("pacstack_cluster_breaker_denied_total", "arrivals denied per backend breaker", "backend")
 	replayedVec := reg.CounterVec("pacstack_cluster_replayed_total", "orphaned requests replayed per adopting backend", "backend")
-	transVec := reg.CounterVec("pacstack_cluster_breaker_transitions_total", "backend breaker state changes", "backend", "to")
 	migrationsVec := reg.CounterVec("pacstack_cluster_migrations_total", "machine migrations per backend", "backend", "direction")
 	migrateBytes := reg.Counter("pacstack_cluster_migrate_bytes_total", "snapshot image bytes shipped in failovers")
 	failovers := reg.Counter("pacstack_cluster_failovers_total", "backend deaths absorbed by migration and replay")
@@ -548,137 +530,30 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 	clRetries := reg.Counter("pacstack_cluster_retries_total", "client retries after a rejection")
 	clGaveUp := reg.Counter("pacstack_cluster_gave_up_total", "requests abandoned after the retry budget")
 
-	// The fleet: real Backend objects (kernels, resident machines,
-	// breakers); the replay models execution capacity on top.
-	eng := fault.NewEngine(prog)
-	var snapTel *snap.Telemetry
-	if reg != nil {
-		snapTel = snap.NewTelemetry(reg)
-	}
-	machineSchemes := uniqueSorted(cfg.Schemes)
-	backends := make([]*desBackend, cfg.Backends)
-	for i := range backends {
-		b := NewBackend(i, cfg.Seed)
-		b.SnapTel = snapTel
-		if cfg.BreakerThreshold > 0 {
-			b.Breaker = NewBackendBreaker(i, cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Seed, cfg.Telemetry, transVec)
-		}
-		for _, name := range machineSchemes {
-			if _, err := b.BootMachine(eng, name); err != nil {
-				return nil, err
-			}
-		}
-		backends[i] = &desBackend{b: b, row: BackendRow{Backend: i, Alive: true}}
+	backends, err := bootFleet(cfg, prog, cfg.Schemes)
+	if err != nil {
+		return nil, err
 	}
 	router := NewRouter(cfg.Seed)
-
-	// The inner executing server for the precompute phase: wide open
-	// (the DES models queueing and breaking itself), shared registry,
-	// no event log.
-	srv := serve.New(serve.Config{
-		Workers:          cfg.Clients + 1,
-		Queue:            cfg.Clients * cfg.Requests,
-		Seed:             cfg.Seed,
-		Chaos:            cfg.ChaosRate > 0,
-		ChaosRate:        cfg.ChaosRate,
-		ChaosKinds:       cfg.ChaosKinds,
-		Heal:             cfg.Heal,
-		CheckpointEvery:  cfg.CheckpointEvery,
-		CheckpointCrash:  cfg.CheckpointCrash,
-		BreakerThreshold: -1,
-		Telemetry:        &telemetry.Set{Reg: reg},
-	})
-
-	// Phase 1: precompute every request's execution outcome in
-	// parallel. Request identity fixes the seed; which backend ends up
-	// executing a request is a routing fact, not an entropy source —
-	// exactly why a migrated request can replay elsewhere and still
-	// produce the same answer.
-	total := cfg.Clients * cfg.Requests
-	outcomes := make([]soakOutcome, total)
-	err = par.ForEachCtx(ctx, total, func(id int) error {
-		client, reqIdx := id/cfg.Requests, id%cfg.Requests
-		reqSeed := mix(int64(client)+0x5f, int64(reqIdx)+1)
-		if reqSeed == 0 {
-			reqSeed = 1
-		}
-		res, err := srv.Do(context.Background(), serve.Request{
-			Workload: cfg.Workload,
-			Scheme:   cfg.Schemes[reqIdx%len(cfg.Schemes)],
-			Seed:     reqSeed,
-		})
-		switch {
-		case err == nil:
-			outcomes[id] = soakOutcome{
-				class: classOK, cycles: res.Cycles,
-				healed: res.Healed, injected: res.Injected,
-				checkpoints: res.Checkpoints, restores: res.Restores, torn: res.TornCommits,
-			}
-		default:
-			var ce *serve.CorruptionError
-			var se *serve.SilentCorruptionError
-			switch {
-			case errors.As(err, &ce):
-				outcomes[id] = soakOutcome{
-					class: classDetected, cause: ce.Cause,
-					cycles: ce.Cycles, injected: ce.Injected,
-				}
-			case errors.As(err, &se):
-				outcomes[id] = soakOutcome{class: classSilent, cycles: se.Cycles}
-			default:
-				return fmt.Errorf("cluster precompute (client %d, request %d): %w", client, reqIdx, err)
-			}
-		}
-		return nil
-	})
+	clients := serve.NewClients(cfg.Seed, cfg.Clients, cfg.Requests, cfg.Think)
+	arrivals := clients.Arrivals(cfg.Workload, cfg.Schemes)
+	outcomes, err := precompute(ctx, cfg, arrivals, clients.Seed)
 	if err != nil {
 		return nil, err
 	}
 
-	// Phase 2: serial virtual-time replay.
 	rep := &ClusterReport{
 		Seed: cfg.Seed, Workload: cfg.Workload, Schemes: cfg.Schemes,
 		Backends: cfg.Backends, Clients: cfg.Clients, PerClient: cfg.Requests,
 		ChaosRate: cfg.ChaosRate, Heal: cfg.Heal,
 		KillAt: cfg.KillAt, KilledBackend: -1,
 	}
+	backoffs := serve.NewBackoffs(cfg.Seed, cfg.BackoffBase, cfg.BackoffCap, clients)
 
-	backoffs := make([]*resilience.Backoff, cfg.Clients)
-	thinks := make([]*rand.Rand, cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
-		backoffs[c] = resilience.NewBackoff(cfg.BackoffBase, cfg.BackoffCap, mix(cfg.Seed, int64(c)+0x1001))
-		thinks[c] = rand.New(rand.NewSource(mix(cfg.Seed, int64(c)+0x2002)))
-	}
-	think := func(c int) uint64 {
-		half := cfg.Think / 2
-		return half + uint64(thinks[c].Int63n(int64(cfg.Think-half+1)))
-	}
-
-	rows := make(map[string]*serve.SoakRow, len(cfg.Schemes))
-	rowOrder := []string{}
-	row := func(name string) *serve.SoakRow {
-		r, ok := rows[name]
-		if !ok {
-			r = &serve.SoakRow{Scheme: name}
-			rows[name] = r
-			rowOrder = append(rowOrder, name)
-		}
-		return r
-	}
-	schemeOf := func(reqIdx int) string { return cfg.Schemes[reqIdx%len(cfg.Schemes)] }
-
-	h := &eventHeap{}
-	seq := 0
-	push := func(e event) {
-		e.seq = seq
-		seq++
-		heap.Push(h, e)
-	}
-
-	now := uint64(0)
 	// Per-request replay state: gen invalidates an orphaned request's
 	// pending evDone; execOn tracks which backend is executing it;
 	// replayed enforces exactly-once failover replay.
+	total := len(arrivals)
 	gen := make([]int, total)
 	execOn := make([]int, total)
 	for i := range execOn {
@@ -695,26 +570,11 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 		}
 		return out
 	}
-	stateOf := func(idx int) resilience.BreakerState {
-		if br := backends[idx].b.Breaker; br != nil {
-			return br.State(now)
-		}
-		return resilience.BreakerClosed
-	}
-	// The router's load metric in the DES: a backend's executing plus
-	// queued requests.
-	loadOf := func(idx int) int {
-		d := backends[idx]
-		return d.busy + len(d.fifo)
-	}
 
 	startService := func(bk, id int) {
-		d := backends[bk]
-		d.busy++
+		backends[bk].busy++
 		execOn[id] = bk
-		o := outcomes[id]
-		push(event{at: now + cfg.Overhead + o.cycles, kind: evDone,
-			client: id / cfg.Requests, req: id % cfg.Requests, bk: bk, gen: gen[id]})
+		q.Push(serve.Event{At: q.Now() + cfg.Overhead + outcomes[id].Cycles, Kind: evDone, ID: id, Backend: bk, Gen: gen[id]})
 	}
 	admit := func(bk, id int) bool {
 		d := backends[bk]
@@ -732,43 +592,31 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 		d.row.Sheds++
 		rep.Sheds++
 		shedsVec.With(fmt.Sprint(bk)).Inc()
-		tlog.Record(telemetry.EvShed, schemeOf(id%cfg.Requests), fmt.Sprintf("backend-%d queue full", bk), now)
+		tlog.Record(telemetry.EvShed, arrivals[id].Scheme, fmt.Sprintf("backend-%d queue full", bk), q.Now())
 		return false
 	}
-	nextRequest := func(client, req int) {
-		if req+1 < cfg.Requests {
-			push(event{at: now + think(client), kind: evIssue, client: client, req: req + 1})
-		}
-	}
-	terminal := func(client, req int) { nextRequest(client, req) }
-	retryOrGiveUp := func(client, req, attempt int) {
+	retryOrGiveUp := func(id, attempt int) {
+		scheme := arrivals[id].Scheme
 		if attempt >= cfg.Retries {
-			rep.GaveUp++
+			rep.GiveUp(scheme)
 			clGaveUp.Inc()
-			r := row(schemeOf(req))
-			r.GaveUp++
-			r.Requests++
-			terminal(client, req)
+			clients.Next(q, evIssue, id)
 			return
 		}
 		rep.Retries++
 		clRetries.Inc()
-		tlog.Record(telemetry.EvRetry, schemeOf(req), "", uint64(attempt+1))
-		push(event{at: now + backoffs[client].Delay(attempt), kind: evIssue, client: client, req: req, attempt: attempt + 1})
+		tlog.Record(telemetry.EvRetry, scheme, "", uint64(attempt+1))
+		q.Push(serve.Event{At: q.Now() + backoffs.Delay(id, attempt), Kind: evIssue, ID: id, Attempt: attempt + 1})
 	}
 	// abandon terminally gives up an orphan whose failover could not be
 	// absorbed (budget exhausted or fleet empty): accounted, never
 	// silent, never lost.
 	abandon := func(id int) {
-		client, req := id/cfg.Requests, id%cfg.Requests
-		rep.GaveUp++
+		rep.GiveUp(arrivals[id].Scheme)
 		rep.Abandoned++
 		clGaveUp.Inc()
-		r := row(schemeOf(req))
-		r.GaveUp++
-		r.Requests++
-		tlog.Record(telemetry.EvRequestDone, schemeOf(req), "abandoned:failover-budget", now)
-		terminal(client, req)
+		tlog.Record(telemetry.EvRequestDone, arrivals[id].Scheme, "abandoned:failover-budget", q.Now())
+		clients.Next(q, evIssue, id)
 	}
 
 	// resolveBatch routes one same-instant batch of issues: every
@@ -776,42 +624,35 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 	// advances per decision, spreading load among equals), the batch is
 	// grouped by chosen backend, and each group is admitted through
 	// GrantProbes — the seeded arbitration of racing probe candidates.
-	resolveBatch := func(batch []event) {
+	resolveBatch := func(batch []serve.Event) {
 		alive := aliveList()
-		type chosen struct {
-			ev event
-			id int
-		}
-		groups := make(map[int][]chosen)
+		groups := make(map[int][]serve.Event)
 		var groupOrder []int
 		for _, e := range batch {
-			id := e.client*cfg.Requests + e.req
-			order := router.Order(now, alive, stateOf, loadOf)
+			order := route(router, backends, q.Now(), alive)
 			if len(order) == 0 {
 				// No fleet left: the request can never execute.
-				retryOrGiveUp(e.client, e.req, cfg.Retries)
+				retryOrGiveUp(e.ID, cfg.Retries)
 				continue
 			}
 			bk := order[0]
 			if _, ok := groups[bk]; !ok {
 				groupOrder = append(groupOrder, bk)
 			}
-			groups[bk] = append(groups[bk], chosen{ev: e, id: id})
+			groups[bk] = append(groups[bk], e)
 		}
 		sort.Ints(groupOrder)
 		for _, bk := range groupOrder {
 			group := groups[bk]
 			ids := make([]uint64, len(group))
-			byID := make(map[uint64]chosen, len(group))
-			for i, c := range group {
-				ids[i] = uint64(c.id)
-				byID[uint64(c.id)] = c
+			byID := make(map[uint64]serve.Event, len(group))
+			for i, e := range group {
+				ids[i] = uint64(e.ID)
+				byID[uint64(e.ID)] = e
 			}
-			var granted []uint64
+			granted := ids
 			if br := backends[bk].b.Breaker; br != nil {
-				granted = br.GrantProbes(now, ids)
-			} else {
-				granted = ids
+				granted = br.GrantProbes(q.Now(), ids)
 			}
 			grantedSet := make(map[uint64]bool, len(granted))
 			for _, id := range granted {
@@ -821,31 +662,31 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 			// the probe race are breaker-denied and fall back to the
 			// client retry path.
 			for _, id := range granted {
-				c := byID[id]
-				if !admit(bk, c.id) {
-					retryOrGiveUp(c.ev.client, c.ev.req, c.ev.attempt)
+				if e := byID[id]; !admit(bk, e.ID) {
+					retryOrGiveUp(e.ID, e.Attempt)
 				}
 			}
-			for _, c := range group {
-				if grantedSet[uint64(c.id)] {
+			for _, e := range group {
+				if grantedSet[uint64(e.ID)] {
 					continue
 				}
 				backends[bk].row.BreakerDenied++
 				rep.BreakerDenied++
 				deniedVec.With(fmt.Sprint(bk)).Inc()
-				retryOrGiveUp(c.ev.client, c.ev.req, c.ev.attempt)
+				retryOrGiveUp(e.ID, e.Attempt)
 			}
 		}
 	}
 
-	// kill executes one scheduled backend death at `now`. Each absorbed
-	// kill charges the budget once; a kill past the budget (or with no
+	// kill executes one scheduled backend death now. Each absorbed kill
+	// charges the budget once; a kill past the budget (or with no
 	// survivor) abandons its orphans loudly. Re-orphaning is legal — a
 	// request replayed after one kill can land on a backend the next
 	// kill takes down, and it replays again — but within one kill every
 	// orphan replays exactly once.
-	killRNG := rand.New(rand.NewSource(mix(cfg.Seed, 0xdead)))
+	killRNG := rand.New(rand.NewSource(serve.Mix(cfg.Seed, 0xdead)))
 	kill := func(spec KillSpec) error {
+		now := q.Now()
 		kb := spec.Backend
 		if kb < 0 {
 			alive := aliveList()
@@ -898,7 +739,7 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 
 		// Snapshot shipping: the dead backend's machines move to the
 		// best survivor the router can name, with re-seeded keys.
-		survivor := router.Order(now, alive, stateOf, loadOf)[0]
+		survivor := route(router, backends, now, alive)[0]
 		krow.Survivor = survivor
 		mig, err := MigrateMachines(d.b, backends[survivor].b)
 		if err != nil {
@@ -936,98 +777,65 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 			replayed[id] = true
 			rep.Replayed++
 			krow.Replayed++
-			push(event{at: now + cfg.MigrateLatency, kind: evIssue, client: id / cfg.Requests, req: id % cfg.Requests})
+			q.Push(serve.Event{At: now + cfg.MigrateLatency, Kind: evIssue, ID: id})
 		}
 		rep.Kills = append(rep.Kills, krow)
 		return nil
 	}
 
 	// Start: every client issues its first request after one think; the
-	// kills (if any) are first-class events in the same heap, their
-	// schedule index carried in the req field.
-	for c := 0; c < cfg.Clients; c++ {
-		push(event{at: think(c), kind: evIssue, client: c, req: 0})
-	}
+	// kills are first-class events in the same queue, their schedule
+	// index carried in the ID field.
+	clients.Start(q, evIssue)
 	for i, k := range kills {
-		push(event{at: k.At, kind: evKill, req: i})
+		q.Push(serve.Event{At: k.At, Kind: evKill, ID: i})
 	}
 
-	for h.Len() > 0 {
-		e := heap.Pop(h).(event)
-		now = e.at
-		vnow = now
-		switch e.kind {
+	for q.Len() > 0 {
+		e := q.Pop()
+		switch e.Kind {
 		case evIssue:
 			// Drain the maximal run of same-instant issues into one
 			// batch, so requests arriving at the same virtual instant
-			// race through GrantProbes instead of through heap order.
-			batch := []event{e}
-			for h.Len() > 0 && (*h)[0].at == e.at && (*h)[0].kind == evIssue {
-				batch = append(batch, heap.Pop(h).(event))
+			// race through GrantProbes instead of through queue order.
+			batch := []serve.Event{e}
+			for q.Len() > 0 && q.Peek().At == e.At && q.Peek().Kind == evIssue {
+				batch = append(batch, q.Pop())
 			}
 			resolveBatch(batch)
 		case evDone:
-			id := e.client*cfg.Requests + e.req
-			if e.gen != gen[id] {
+			id := e.ID
+			if e.Gen != gen[id] {
 				continue // voided: the executing backend died first
 			}
-			d := backends[e.bk]
+			d := backends[e.Backend]
 			d.busy--
 			execOn[id] = -1
 			o := outcomes[id]
-			name := schemeOf(e.req)
-			r := row(name)
-			r.Requests++
-			rep.Injected += o.injected
-			rep.Checkpoints += o.checkpoints
-			rep.Restores += o.restores
-			rep.TornCommits += o.torn
 			if replayed[id] {
 				d.row.Replayed++
-				replayedVec.With(fmt.Sprint(e.bk)).Inc()
+				replayedVec.With(fmt.Sprint(e.Backend)).Inc()
 			}
-			switch o.class {
-			case classOK:
-				rep.OK++
-				r.OK++
-				d.row.OK++
-				if o.healed {
-					rep.Healed++
-					r.Healed++
-					d.row.Healed++
-				}
-				tlog.Record(telemetry.EvRequestDone, name, "ok", o.cycles)
-			case classDetected:
-				rep.Detected++
-				rep.ByCause[o.cause]++
-				r.Detected++
-				d.row.Detected++
-				tlog.Record(telemetry.EvRequestDone, name, "detected:"+o.cause.String(), o.cycles)
-			case classSilent:
-				rep.Silent++
-				r.Silent++
-				d.row.Silent++
-				tlog.Record(telemetry.EvRequestDone, name, "silent", o.cycles)
-			}
+			rep.Done(tlog, arrivals[id].Scheme, o)
+			d.row.Count(o)
 			if br := d.b.Breaker; br != nil {
-				br.Record(now, o.class == classOK)
+				br.Record(e.At, o.Class == traffic.OutcomeOK)
 			}
 			if len(d.fifo) > 0 {
 				next := d.fifo[0]
 				d.fifo = d.fifo[1:]
-				startService(e.bk, next)
+				startService(e.Backend, next)
 			}
-			terminal(e.client, e.req)
+			clients.Next(q, evIssue, id)
 		case evKill:
-			if err := kill(kills[e.req]); err != nil {
+			if err := kill(kills[e.ID]); err != nil {
 				return nil, err
 			}
 		}
 	}
 
 	rep.Issued = total
-	rep.VirtualCycles = now
-	vnow = now
+	rep.VirtualCycles = q.Now()
 	for _, d := range backends {
 		rep.InFlightAtEnd += d.busy + len(d.fifo)
 		if br := d.b.Breaker; br != nil {
@@ -1035,14 +843,7 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 		}
 		rep.PerBackend = append(rep.PerBackend, d.row)
 	}
-	for c := 0; c < fault.NumCauses; c++ {
-		if rep.ByCause[c] > 0 {
-			rep.Causes = append(rep.Causes, serve.SchemeCount{Scheme: fault.Cause(c).String(), Count: uint64(rep.ByCause[c])})
-		}
-	}
-	for _, name := range rowOrder {
-		rep.PerScheme = append(rep.PerScheme, *rows[name])
-	}
+	rep.PerScheme = rep.Close()
 	return rep, nil
 }
 

@@ -1,8 +1,11 @@
-// The chaos-mesh soak: the cluster DES in soak.go driven open-loop by
-// a traffic.Model, with a seeded network fault mesh between the
-// router and the backends — and the resilience machinery that earns
-// its keep under it. Relative to the closed-loop cluster soak, four
-// mechanisms are new:
+// The chaos-mesh soak: the cluster's second replay on the shared
+// discrete-event core (internal/serve's des.go), driven open-loop by a
+// traffic.Model, with a seeded network fault mesh between the router
+// and the backends — and the resilience machinery that earns its keep
+// under it. Unlike the closed-loop replay in soak.go, which admits
+// same-instant issues as one GrantProbes batch, it admits every
+// attempt alone through its backend breaker's Allow. Four mechanisms
+// exist only here:
 //
 //   - Hedged requests. A primary attempt that has not resolved within
 //     its class's hedge delay gets one speculative duplicate on the
@@ -35,27 +38,22 @@
 //     (traffic.Evaluator.Brownout) — deliberate refusals are not
 //     latency violations.
 //
-// The determinism contract is unchanged: outcomes are precomputed in
+// The determinism contract is the core's: outcomes are precomputed in
 // parallel as pure functions of arrival identity; every mesh draw,
 // hedge decision, ejection and brownout transition happens in the
-// serial replay in heap order. Same seed and knobs, byte-identical
-// report and telemetry at any -par width.
+// serial replay in queue order. Same seed and knobs, byte-identical
+// report and telemetry at any -par width; TestSoakGoldens pins it.
 
 package cluster
 
 import (
-	"container/heap"
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 
-	"pacstack/internal/fault"
 	"pacstack/internal/mesh"
-	"pacstack/internal/par"
 	"pacstack/internal/resilience"
 	"pacstack/internal/serve"
-	"pacstack/internal/snap"
 	"pacstack/internal/supervise"
 	"pacstack/internal/telemetry"
 	"pacstack/internal/traffic"
@@ -131,17 +129,6 @@ type tAttempt struct {
 	hedged    bool
 }
 
-// tBackend is one backend's traffic-replay state.
-type tBackend struct {
-	b     *Backend
-	busy  int
-	cores int
-	fifo  []int // attempt tokens, FIFO
-	ctl   *resilience.AIMD
-	row   BackendRow
-	svc   *telemetry.Histogram
-}
-
 // soakClusterTraffic runs the open-loop mesh soak. Callers arrive
 // through Soak, which has applied defaults and validated the mode.
 func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
@@ -154,17 +141,8 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 		return nil, fmt.Errorf("cluster: traffic model generated no arrivals")
 	}
 	for _, c := range model.Classes {
-		name := c.Scheme
-		if name == "" {
-			name = "pacstack"
-		}
-		if _, err := serve.ParseScheme(name); err != nil {
+		if _, err := serve.ParseScheme(c.Scheme); err != nil {
 			return nil, err
-		}
-		for _, w := range c.Workloads {
-			if _, err := serve.ResolveProgram(w, nil); err != nil {
-				return nil, err
-			}
 		}
 	}
 	var net *mesh.Mesh
@@ -179,23 +157,20 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 		}
 	}
 
-	vnow := uint64(0)
 	// A run without an attached set still gets a private one: report
 	// fields (per-backend service p99) read the histograms, and the
 	// report must not change shape with telemetry plumbed in or out.
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.New(telemetry.Options{})
 	}
-	vclock := func() uint64 { return vnow }
-	cfg.Telemetry.Registry().SetClock(vclock)
-	cfg.Telemetry.Log().SetClock(vclock)
+	q := &serve.Queue{}
+	q.Stamp(cfg.Telemetry)
 	reg := cfg.Telemetry.Registry()
 	tlog := cfg.Telemetry.Log()
 
 	routedVec := reg.CounterVec("pacstack_cluster_routed_total", "requests admitted per backend", "backend")
 	shedsVec := reg.CounterVec("pacstack_cluster_sheds_total", "arrivals shed per backend (queue full)", "backend")
 	deniedVec := reg.CounterVec("pacstack_cluster_breaker_denied_total", "arrivals denied per backend breaker", "backend")
-	transVec := reg.CounterVec("pacstack_cluster_breaker_transitions_total", "backend breaker state changes", "backend", "to")
 	dropVec := reg.CounterVec("pacstack_cluster_link_drops_total", "messages the mesh ate per backend", "backend", "cause")
 	timeoutVec := reg.CounterVec("pacstack_cluster_timeouts_total", "attempts declared lost per backend", "backend")
 	ejectVec := reg.CounterVec("pacstack_cluster_ejections_total", "outlier ejections per backend", "backend")
@@ -209,26 +184,6 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 	clGaveUp := reg.Counter("pacstack_cluster_gave_up_total", "requests abandoned after the retry budget")
 	resizesC := reg.Counter("pacstack_cluster_core_resizes_total", "vertical core-count changes")
 
-	// The fleet: real backends with resident machines per scheme (the
-	// hedge key assertion needs live key domains), breakers, and the
-	// modelled execution state on top.
-	var schemes []string
-	seenScheme := map[string]bool{}
-	for _, a := range arrivals {
-		if !seenScheme[a.Scheme] {
-			seenScheme[a.Scheme] = true
-			schemes = append(schemes, a.Scheme)
-		}
-	}
-	prog, err := serve.ResolveProgram("chain", nil)
-	if err != nil {
-		return nil, err
-	}
-	eng := fault.NewEngine(prog)
-	var snapTel *snap.Telemetry
-	if reg != nil {
-		snapTel = snap.NewTelemetry(reg)
-	}
 	cores := cfg.Cores
 	if cores <= 0 {
 		cores = cfg.Workers
@@ -252,101 +207,28 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 			vcfg.BadNum, vcfg.BadDen = 1, 2
 		}
 	}
-	machineSchemes := uniqueSorted(schemes)
-	backends := make([]*tBackend, cfg.Backends)
-	for i := range backends {
-		b := NewBackend(i, cfg.Seed)
-		b.SnapTel = snapTel
-		if cfg.BreakerThreshold > 0 {
-			b.Breaker = NewBackendBreaker(i, cfg.BreakerThreshold, cfg.BreakerCooldown, cfg.Seed, cfg.Telemetry, transVec)
-		}
-		for _, name := range machineSchemes {
-			if _, err := b.BootMachine(eng, name); err != nil {
-				return nil, err
-			}
-		}
-		tb := &tBackend{b: b, cores: cores, row: BackendRow{Backend: i, Alive: true}, svc: svcVec.With(fmt.Sprint(i))}
+	schemes := serve.ArrivalSchemes(arrivals)
+	prog, err := serve.ResolveProgram("chain", nil)
+	if err != nil {
+		return nil, err
+	}
+	backends, err := bootFleet(cfg, prog, schemes)
+	if err != nil {
+		return nil, err
+	}
+	for i, d := range backends {
+		d.cores, d.svc = cores, svcVec.With(fmt.Sprint(i))
 		if cfg.VerticalAdaptive != nil {
-			tb.ctl = resilience.NewAIMD(vcfg)
-			tb.cores = tb.ctl.Limit()
+			d.ctl = resilience.NewAIMD(vcfg)
+			d.cores = d.ctl.Limit()
 		}
-		backends[i] = tb
 	}
 	router := NewRouter(cfg.Seed)
-
-	// Precompute servers, exactly as in the serving tier's traffic
-	// soak: a regular one and a poison one whose every attempt arms an
-	// injection. Shared registry (commuting counters), no event log.
-	inner := serve.Config{
-		Workers:          len(arrivals) + 1,
-		Queue:            len(arrivals),
-		Seed:             cfg.Seed,
-		Chaos:            cfg.ChaosRate > 0,
-		ChaosRate:        cfg.ChaosRate,
-		ChaosKinds:       cfg.ChaosKinds,
-		Heal:             cfg.Heal,
-		CheckpointEvery:  cfg.CheckpointEvery,
-		CheckpointCrash:  cfg.CheckpointCrash,
-		BreakerThreshold: -1,
-		Telemetry:        &telemetry.Set{Reg: reg},
-	}
-	srv := serve.New(inner)
-	poisoned := inner
-	poisoned.Chaos = true
-	poisoned.ChaosRate = 1
-	poisoned.ChaosKinds = []fault.Kind{fault.KindRetAddr, fault.KindStackSmash}
-	psrv := serve.New(poisoned)
-
-	// Phase 1: parallel outcome precompute, seeded by arrival index —
-	// the same derivation the serving tier uses, so a hedged duplicate
-	// (same arrival, different backend) replays the same outcome:
-	// which machine executes a request is a routing fact, never an
-	// entropy source.
-	outcomes := make([]soakOutcome, len(arrivals))
-	err = par.ForEachCtx(ctx, len(arrivals), func(id int) error {
-		a := arrivals[id]
-		s := srv
-		if a.Poison {
-			s = psrv
-		}
-		reqSeed := mix(cfg.Seed, int64(id)+0x5f01)
-		if reqSeed == 0 {
-			reqSeed = 1
-		}
-		res, err := s.Do(context.Background(), serve.Request{
-			Workload: a.Workload,
-			Scheme:   a.Scheme,
-			Seed:     reqSeed,
-		})
-		switch {
-		case err == nil:
-			outcomes[id] = soakOutcome{
-				class: classOK, cycles: res.Cycles,
-				healed: res.Healed, injected: res.Injected,
-				checkpoints: res.Checkpoints, restores: res.Restores, torn: res.TornCommits,
-			}
-		default:
-			var ce *serve.CorruptionError
-			var se *serve.SilentCorruptionError
-			switch {
-			case errors.As(err, &ce):
-				outcomes[id] = soakOutcome{
-					class: classDetected, cause: ce.Cause,
-					cycles: ce.Cycles, injected: ce.Injected,
-				}
-			case errors.As(err, &se):
-				outcomes[id] = soakOutcome{class: classSilent, cycles: se.Cycles}
-			default:
-				return fmt.Errorf("cluster traffic precompute (arrival %d, %s/%s): %w", id, a.Workload, a.Scheme, err)
-			}
-		}
-		return nil
-	})
+	outcomes, err := precompute(ctx, cfg, arrivals, serve.ArrivalSeed(cfg.Seed))
 	if err != nil {
 		return nil, err
 	}
 
-	// Phase 2: serial virtual-time replay.
 	rep := &ClusterReport{
 		Seed: cfg.Seed, Workload: "traffic", Schemes: schemes,
 		Backends: cfg.Backends, Clients: 0, PerClient: 0,
@@ -371,7 +253,7 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 	var hedgeRNG *rand.Rand
 	if hedging {
 		hcfg = cfg.Hedge.withDefaults()
-		hedgeRNG = rand.New(rand.NewSource(mix(cfg.Seed, 0x4ed6e)))
+		hedgeRNG = rand.New(rand.NewSource(serve.Mix(cfg.Seed, 0x4ed6e)))
 	}
 	hedgeDelay := func(class int) uint64 {
 		slo := model.Classes[class].SLO
@@ -425,54 +307,13 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 		return model.Classes[class].Priority >= shedOrder[brownLevel-1]
 	}
 
-	backoffs := map[int]*resilience.Backoff{}
-	backoff := func(id int) *resilience.Backoff {
-		b, ok := backoffs[id]
-		if !ok {
-			b = resilience.NewBackoff(cfg.BackoffBase, cfg.BackoffCap, mix(cfg.Seed, int64(id)+0x3003))
-			backoffs[id] = b
-		}
-		return b
-	}
+	backoffs := serve.NewBackoffs(cfg.Seed, cfg.BackoffBase, cfg.BackoffCap, nil)
 
-	rows := make(map[string]*serve.SoakRow, len(schemes))
-	rowOrder := []string{}
-	row := func(name string) *serve.SoakRow {
-		r, ok := rows[name]
-		if !ok {
-			r = &serve.SoakRow{Scheme: name}
-			rows[name] = r
-			rowOrder = append(rowOrder, name)
-		}
-		return r
-	}
-
-	h := &eventHeap{}
-	seq := 0
-	push := func(e event) {
-		e.seq = seq
-		seq++
-		heap.Push(h, e)
-	}
-
-	now := uint64(0)
 	done := make([]bool, len(arrivals))
 	live := make([][]*tAttempt, len(arrivals))
 	atts := map[int]*tAttempt{}
 	nextTok := 0
 
-	dropTimeout := cfg.DropTimeout
-
-	stateOf := func(idx int) resilience.BreakerState {
-		if br := backends[idx].b.Breaker; br != nil {
-			return br.State(now)
-		}
-		return resilience.BreakerClosed
-	}
-	loadOf := func(idx int) int {
-		d := backends[idx]
-		return d.busy + len(d.fifo)
-	}
 	// candidates is the routable fleet at now: alive (always true in
 	// traffic mode — no kills), mesh link up for deterministic outage
 	// state, not ejected, not the excluded backend.
@@ -482,7 +323,7 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 			if i == exclude {
 				continue
 			}
-			if ejector.Ejected(i, now) {
+			if ejector.Ejected(i, q.Now()) {
 				continue
 			}
 			out = append(out, i)
@@ -501,10 +342,10 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 			}
 		}
 	}
-	// startSvc begins one attempt's execution on its backend: the PR8
-	// contention model (service = (Overhead + cycles) x slow x
-	// ceil(busy/cores), fixed at service start) plus the attempt's
-	// mesh link latency.
+	// startSvc begins one attempt's execution on its backend: the
+	// serving soak's contention model (service = (Overhead + cycles) x
+	// slow x ceil(busy/cores), fixed at service start) plus the
+	// attempt's mesh link latency.
 	startSvc := func(a *tAttempt) {
 		d := backends[a.bk]
 		d.busy++
@@ -513,13 +354,13 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 		}
 		arr := arrivals[a.id]
 		o := outcomes[a.id]
-		dur := (cfg.Overhead + o.cycles) * arr.Slow
+		dur := (cfg.Overhead + o.Cycles) * arr.Slow
 		dur *= uint64((d.busy + d.cores - 1) / d.cores)
 		dur += a.linkLat
 		a.dur = dur
 		a.executing = true
 		d.svc.Observe(dur)
-		push(event{at: now + dur, kind: evDone, client: a.id, gen: a.tok})
+		q.Push(serve.Event{At: q.Now() + dur, Kind: evDone, ID: a.id, Gen: a.tok})
 	}
 	admitNext := func(bk int) {
 		d := backends[bk]
@@ -566,9 +407,9 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 			// so a healthy backend that merely lost a close race
 			// observes its true baseline, not a queueing artifact.
 			if winner != nil && (a.queued || a.executing) {
-				intrinsic := (cfg.Overhead + outcomes[id].cycles) * arrivals[id].Slow
+				intrinsic := (cfg.Overhead + outcomes[id].Cycles) * arrivals[id].Slow
 				if intrinsic > 0 {
-					ejector.Observe(a.bk, now, false, int((a.linkLat+intrinsic)*1000/intrinsic))
+					ejector.Observe(a.bk, q.Now(), false, int((a.linkLat+intrinsic)*1000/intrinsic))
 				}
 			}
 			unlive(a)
@@ -590,47 +431,17 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 		}
 		cancel(id, a)
 		unlive(a)
-		r := row(arr.Scheme)
-		r.Requests++
-		rep.Injected += o.injected
-		rep.Checkpoints += o.checkpoints
-		rep.Restores += o.restores
-		rep.TornCommits += o.torn
-		lat := now - arr.At
-		switch o.class {
-		case classOK:
-			rep.OK++
-			r.OK++
-			d.row.OK++
-			if o.healed {
-				rep.Healed++
-				r.Healed++
-				d.row.Healed++
-			}
-			eval.Done(arr.Class, lat, traffic.OutcomeOK)
-			tlog.Record(telemetry.EvRequestDone, arr.Scheme, "ok", o.cycles)
-		case classDetected:
-			rep.Detected++
-			rep.ByCause[o.cause]++
-			r.Detected++
-			d.row.Detected++
-			eval.Done(arr.Class, lat, traffic.OutcomeDetected)
-			tlog.Record(telemetry.EvRequestDone, arr.Scheme, "detected:"+o.cause.String(), o.cycles)
-		case classSilent:
-			rep.Silent++
-			r.Silent++
-			d.row.Silent++
-			eval.Done(arr.Class, lat, traffic.OutcomeSilent)
-			tlog.Record(telemetry.EvRequestDone, arr.Scheme, "silent", o.cycles)
-		}
+		eval.Done(arr.Class, q.Now()-arr.At, o.Class)
+		rep.Done(tlog, arr.Scheme, o)
+		d.row.Count(o)
 		if br := d.b.Breaker; br != nil {
-			br.Record(now, o.class == classOK)
+			br.Record(q.Now(), o.Class == traffic.OutcomeOK)
 		}
 		// Ejector dilation sample: how much the attempt's occupancy
 		// (contention + link) exceeded the request's intrinsic cost.
-		intrinsic := (cfg.Overhead + o.cycles) * arr.Slow
+		intrinsic := (cfg.Overhead + o.Cycles) * arr.Slow
 		if intrinsic > 0 {
-			ejector.Observe(a.bk, now, false, int(a.dur*1000/intrinsic))
+			ejector.Observe(a.bk, q.Now(), false, int(a.dur*1000/intrinsic))
 		}
 		if d.ctl != nil {
 			idle := (d.cores - d.busy) * 1000 / d.cores
@@ -641,13 +452,10 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 	giveUp := func(id int, detail string) {
 		arr := arrivals[id]
 		done[id] = true
-		rep.GaveUp++
+		rep.GiveUp(arr.Scheme)
 		clGaveUp.Inc()
-		r := row(arr.Scheme)
-		r.GaveUp++
-		r.Requests++
-		eval.Done(arr.Class, now-arr.At, traffic.OutcomeGaveUp)
-		tlog.Record(telemetry.EvRequestDone, arr.Scheme, detail, now)
+		eval.Done(arr.Class, q.Now()-arr.At, traffic.OutcomeGaveUp)
+		tlog.Record(telemetry.EvRequestDone, arr.Scheme, detail, q.Now())
 	}
 	// retryOrGiveUp re-issues a rejected/lost request if the client
 	// has retries left AND the cluster's retry budget grants one:
@@ -670,7 +478,7 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 		clRetries.Inc()
 		eval.Retry(arr.Class)
 		tlog.Record(telemetry.EvRetry, arr.Scheme, "", uint64(attempt+1))
-		push(event{at: now + backoff(id).Delay(attempt), kind: evIssue, client: id, attempt: attempt + 1})
+		q.Push(serve.Event{At: q.Now() + backoffs.Delay(id, attempt), Kind: evIssue, ID: id, Attempt: attempt + 1})
 	}
 
 	// launch routes one attempt. It returns the attempt when it is in
@@ -678,8 +486,8 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 	// a rejection (shed, breaker denial, or empty candidate set) — the
 	// caller owns the retry decision.
 	launch := func(id, attemptNo, exclude int, hedged bool) *tAttempt {
-		arr := arrivals[id]
-		order := router.Order(now, candidates(exclude), stateOf, loadOf)
+		arr, now := arrivals[id], q.Now()
+		order := route(router, backends, now, candidates(exclude))
 		if len(order) == 0 {
 			rep.NoBackend++
 			noBackendC.Inc()
@@ -709,7 +517,7 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 			rep.LinkDrops++
 			dropVec.With(fmt.Sprint(bk), v.Cause.String()).Inc()
 			tlog.Record(telemetry.EvLinkDrop, fmt.Sprintf("backend-%d", bk), v.Cause.String(), now)
-			push(event{at: now + dropTimeout, kind: evTimeout, client: id, gen: a.tok})
+			q.Push(serve.Event{At: now + cfg.DropTimeout, Kind: evTimeout, ID: id, Gen: a.tok})
 			return a
 		}
 		a.linkLat = v.Latency
@@ -766,7 +574,7 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 	}
 
 	for i, a := range arrivals {
-		push(event{at: a.At, kind: evIssue, client: i})
+		q.Push(serve.Event{At: a.At, Kind: evIssue, ID: i})
 		eval.Arrival(a.Class)
 	}
 	// Periodic controller ticks re-arm themselves only while non-tick
@@ -775,29 +583,27 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 	// the last request drains.
 	ticksPending := 0
 	if browning {
-		push(event{at: bcfg.Interval, kind: evTick, req: 0})
+		q.Push(serve.Event{At: bcfg.Interval, Kind: evTick, ID: 0})
 		ticksPending++
 	}
 	if cfg.VerticalAdaptive != nil {
-		push(event{at: vcfg.Interval, kind: evTick, req: 1})
+		q.Push(serve.Event{At: vcfg.Interval, Kind: evTick, ID: 1})
 		ticksPending++
 	}
 
-	for h.Len() > 0 {
-		e := heap.Pop(h).(event)
-		now = e.at
-		vnow = now
-		if e.kind == evTick {
+	for q.Len() > 0 {
+		e := q.Pop()
+		now, id := e.At, e.ID
+		if e.Kind == evTick {
 			ticksPending--
 		}
-		switch e.kind {
+		switch e.Kind {
 		case evIssue:
-			id := e.client
 			if done[id] {
 				break
 			}
 			arr := arrivals[id]
-			if e.attempt == 0 {
+			if e.Attempt == 0 {
 				winArrivals++
 				if budget != nil {
 					budget.Earn()
@@ -807,24 +613,20 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 					brownVec.With(model.Classes[arr.Class].Name).Inc()
 					eval.Brownout(arr.Class)
 					done[id] = true
-					rep.GaveUp++ // terminal for the conservation identity
-					r := row(arr.Scheme)
-					r.GaveUp++
-					r.Requests++
+					rep.GiveUp(arr.Scheme) // terminal for the conservation identity
 					break
 				}
 			}
-			a := launch(id, e.attempt, -1, false)
+			a := launch(id, e.Attempt, -1, false)
 			if a == nil {
-				retryOrGiveUp(id, e.attempt)
+				retryOrGiveUp(id, e.Attempt)
 				break
 			}
-			if hedging && e.attempt == 0 {
-				push(event{at: now + hedgeDelay(arr.Class), kind: evHedge, client: id, gen: a.tok})
+			if hedging && e.Attempt == 0 {
+				q.Push(serve.Event{At: now + hedgeDelay(arr.Class), Kind: evHedge, ID: id, Gen: a.tok})
 			}
 		case evHedge:
-			id := e.client
-			primary, ok := atts[e.gen]
+			primary, ok := atts[e.Gen]
 			if done[id] || !ok || primary.dead {
 				break // already resolved; nothing to hedge
 			}
@@ -849,11 +651,10 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 			tlog.Record(telemetry.EvHedge, arrivals[id].Scheme,
 				fmt.Sprintf("backend-%d->backend-%d", primary.bk, a.bk), now)
 		case evTimeout:
-			a, ok := atts[e.gen]
+			a, ok := atts[e.Gen]
 			if !ok || a.dead || !a.lost {
 				break // resolved or cancelled before the deadline
 			}
-			id := a.id
 			unlive(a)
 			rep.Timeouts++
 			backends[a.bk].row.Timeouts++
@@ -869,7 +670,7 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 			}
 			retryOrGiveUp(id, a.attemptNo+1)
 		case evDone:
-			a, ok := atts[e.gen]
+			a, ok := atts[e.Gen]
 			if !ok || a.dead {
 				break // cancelled loser; its slot was freed at win time
 			}
@@ -879,7 +680,7 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 			terminalDone(a)
 			admitNext(a.bk)
 		case evTick:
-			switch e.req {
+			switch e.ID {
 			case 0: // brownout window
 				// Hot signals: retry-budget denials, failure burn
 				// (cluster-wide or on any one backend), or sustained
@@ -940,8 +741,8 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 				for i := range winBkBad {
 					winBkBad[i], winBkRouted[i] = 0, 0
 				}
-				if h.Len() > ticksPending {
-					push(event{at: now + bcfg.Interval, kind: evTick, req: 0})
+				if q.Len() > ticksPending {
+					q.Push(serve.Event{At: now + bcfg.Interval, Kind: evTick, ID: 0})
 					ticksPending++
 				}
 			case 1: // vertical core scaling
@@ -954,8 +755,8 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 						d.cores = limit
 					}
 				}
-				if h.Len() > ticksPending {
-					push(event{at: now + vcfg.Interval, kind: evTick, req: 1})
+				if q.Len() > ticksPending {
+					q.Push(serve.Event{At: now + vcfg.Interval, Kind: evTick, ID: 1})
 					ticksPending++
 				}
 			}
@@ -963,8 +764,7 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 	}
 
 	rep.Issued = len(arrivals)
-	rep.VirtualCycles = now
-	vnow = now
+	rep.VirtualCycles = q.Now()
 	for _, d := range backends {
 		rep.InFlightAtEnd += d.busy + len(d.fifo)
 		if br := d.b.Breaker; br != nil {
@@ -983,14 +783,7 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 		d.row.ServiceP99 = d.svc.Quantile(99, 100)
 		rep.PerBackend = append(rep.PerBackend, d.row)
 	}
-	for c := 0; c < fault.NumCauses; c++ {
-		if rep.ByCause[c] > 0 {
-			rep.Causes = append(rep.Causes, serve.SchemeCount{Scheme: fault.Cause(c).String(), Count: uint64(rep.ByCause[c])})
-		}
-	}
-	for _, name := range rowOrder {
-		rep.PerScheme = append(rep.PerScheme, *rows[name])
-	}
+	rep.PerScheme = rep.Close()
 	rep.SLO = eval.Report()
 	if budget != nil {
 		st := budget.Stats()

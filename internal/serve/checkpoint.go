@@ -42,7 +42,7 @@ func (s *Server) FinalCheckpoint(st *snap.Store) (int, error) {
 			return n, err
 		}
 		k := kernel.New(pa.DefaultConfig())
-		k.Seed(mix(s.cfg.Seed, 0xf1a1+int64(sc)))
+		k.Seed(Mix(s.cfg.Seed, 0xf1a1+int64(sc)))
 		p, err := img.Boot(k)
 		if err != nil {
 			return n, err

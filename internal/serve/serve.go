@@ -449,14 +449,6 @@ func (s *Server) breaker(sc compile.Scheme) *resilience.Breaker {
 	return b
 }
 
-// mix folds two seeds into one rng seed (splitmix64 finalizer).
-func mix(a, b int64) int64 {
-	z := uint64(a)*0x9e3779b97f4a7c15 + uint64(b)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return int64(z ^ (z >> 31))
-}
-
 // requestRNG derives the request's private rng. Explicit request
 // seeds make outcomes identity-addressed (the soak depends on this);
 // seedless requests draw from the server sequence.
@@ -465,7 +457,7 @@ func (s *Server) requestRNG(req Request) *rand.Rand {
 	if seed == 0 {
 		seed = s.seq.Add(1)
 	}
-	return rand.New(rand.NewSource(mix(s.cfg.Seed, seed)))
+	return rand.New(rand.NewSource(Mix(s.cfg.Seed, seed)))
 }
 
 // Do executes one request through the full resilience pipeline:
@@ -699,7 +691,7 @@ func (s *Server) pool(workloadName string, sc compile.Scheme) (*pool.Pool, error
 	}
 	seed := s.cfg.Seed
 	for _, c := range key {
-		seed = mix(seed, int64(c)+0x9001)
+		seed = Mix(seed, int64(c)+0x9001)
 	}
 	scheme := sc
 	built, err := pool.New(pool.Config{

@@ -1,34 +1,24 @@
-// Deterministic soak: a discrete-event simulation of concurrent
-// clients hammering the serving pipeline in virtual time (simulated
-// cycles). The trick that reconciles "concurrent traffic" with
-// "byte-identical reports" is a two-phase design:
-//
-//  1. Outcomes are pure functions of request identity. Each (client,
-//     request) pair gets a private seed derived from the soak seed, so
-//     its kernel keys, chaos draws and classification do not depend on
-//     scheduling. Phase one precomputes them all on a real parallel
-//     worker pool (internal/par) — this is where wall-clock concurrency
-//     lives.
-//  2. The traffic dynamics — queueing, shedding, breaker trips, client
-//     retry/backoff — replay serially through an event heap keyed
-//     (time, seq), driving the *same* clock-free resilience state
-//     machines (resilience.Breaker, resilience.Backoff) the daemon
-//     uses, just fed virtual time instead of nanoseconds.
+// Deterministic soak: concurrent clients hammering the serving
+// pipeline in virtual time (simulated cycles), on the discrete-event
+// core in des.go. Outcomes are precomputed in parallel as pure
+// functions of request identity; the traffic dynamics (queueing,
+// shedding, breaker trips, client retry and backoff) replay serially in
+// traffic.go, driving the same clock-free resilience state machines
+// (resilience.Breaker, resilience.Backoff) the daemon uses, fed virtual
+// time instead of nanoseconds. The replay takes its requests from one
+// of two arrival processes: closed-loop clients issuing requests back
+// to back with think time, or an open-loop traffic.Model.
 //
 // Same seed and knobs in, byte-identical SoakReport out, regardless of
-// GOMAXPROCS or machine — which is what lets check.sh diff two runs.
+// GOMAXPROCS or machine; TestSoakGoldens pins it.
 
 package serve
 
 import (
-	"container/heap"
 	"context"
-	"errors"
 	"fmt"
-	"math/rand"
 
 	"pacstack/internal/fault"
-	"pacstack/internal/par"
 	"pacstack/internal/pool"
 	"pacstack/internal/resilience"
 	"pacstack/internal/telemetry"
@@ -95,7 +85,7 @@ type SoakConfig struct {
 	// byte-identical across runs and worker-pool widths: counters are
 	// bumped from the parallel precompute phase (integer adds commute),
 	// while every event is recorded from the serial virtual-time
-	// replay. The gate's double-run cmp rests on this.
+	// replay.
 	Telemetry *telemetry.Set
 
 	// Traffic switches the soak into open-loop mode: instead of
@@ -187,6 +177,13 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	if c.Overhead == 0 {
 		c.Overhead = 500
 	}
+	if c.Traffic == nil {
+		// Closed-loop clients see no contention and no controller.
+		c.Cores, c.Adaptive = 0, nil
+	}
+	if c.Cores <= 0 {
+		c.Cores = c.Workers
+	}
 	return c
 }
 
@@ -208,57 +205,31 @@ func rpvsMilli(ok int, cycles uint64) uint64 {
 	return uint64(ok) * 1_000_000_000_000 / cycles
 }
 
-// bootCosts resolves the per-scheme machine-acquisition charge for the
-// selected boot model against the workload's compiled image: the full
+// bootCost resolves the machine-acquisition charge of one
+// (workload, scheme) execution under the boot model: the full
 // image-construction cost for "cold", the snapshot-restore cost for
-// "warm". A nil map (the legacy model) charges nothing.
-func bootCosts(srv *Server, model, workload string, schemes []string) (map[string]uint64, error) {
+// "warm", nothing under the legacy model.
+func (s *Server) bootCost(model, workload, scheme string) (uint64, error) {
 	if model == "" {
-		return nil, nil
+		return 0, nil
 	}
-	eng, err := srv.engine(workload)
+	eng, err := s.engine(workload)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
-	costs := make(map[string]uint64, len(schemes))
-	for _, name := range schemes {
-		if _, ok := costs[name]; ok {
-			continue
-		}
-		sc, err := ParseScheme(name)
-		if err != nil {
-			return nil, err
-		}
-		img, err := eng.Image(sc)
-		if err != nil {
-			return nil, err
-		}
-		cold, warm := pool.ModelCosts(img)
-		if model == "cold" {
-			costs[name] = cold
-		} else {
-			costs[name] = warm
-		}
+	sc, err := ParseScheme(scheme)
+	if err != nil {
+		return 0, err
 	}
-	return costs, nil
-}
-
-// SchemeCount pairs a scheme name with a counter, kept as a sorted
-// slice (not a map) so the report marshals identically every run.
-type SchemeCount struct {
-	Scheme string `json:"scheme"`
-	Count  uint64 `json:"count"`
-}
-
-// SoakRow is the per-scheme outcome breakdown.
-type SoakRow struct {
-	Scheme   string `json:"scheme"`
-	Requests int    `json:"requests"`
-	OK       int    `json:"ok"`
-	Healed   int    `json:"healed"`
-	Detected int    `json:"detected"`
-	Silent   int    `json:"silent"`
-	GaveUp   int    `json:"gave_up"`
+	img, err := eng.Image(sc)
+	if err != nil {
+		return 0, err
+	}
+	cold, warm := pool.ModelCosts(img)
+	if model == "cold" {
+		return cold, nil
+	}
+	return warm, nil
 }
 
 // SoakReport is the deterministic end-of-run summary. For one seed and
@@ -272,29 +243,8 @@ type SoakReport struct {
 	ChaosRate float64  `json:"chaos_rate"`
 	Heal      int      `json:"heal"`
 
-	Issued   int `json:"issued"`
-	OK       int `json:"ok"`
-	Healed   int `json:"healed"`
-	Detected int `json:"detected"`
-	Silent   int `json:"silent"`
-	GaveUp   int `json:"gave_up"`
-
-	ByCause [fault.NumCauses]int `json:"-"`
-	// Causes is ByCause in stable, name-keyed, zero-suppressed form.
-	Causes []SchemeCount `json:"detected_by_cause,omitempty"`
-
-	Injected int `json:"injected_faults"`
-	// Checkpoint traffic across all executed requests: snapshot
-	// commits, warm restores, and commits torn by a simulated
-	// mid-checkpoint machine death. The soak gate's invariant: torn
-	// commits never produce a silent outcome.
-	Checkpoints   int           `json:"checkpoints,omitempty"`
-	Restores      int           `json:"restores,omitempty"`
-	TornCommits   int           `json:"torn_commits,omitempty"`
-	Retries       int           `json:"retries"`
-	Sheds         int           `json:"sheds"`
-	BreakerDenied int           `json:"breaker_denied"`
-	BreakerOpens  []SchemeCount `json:"breaker_opens,omitempty"`
+	Tally
+	BreakerOpens []SchemeCount `json:"breaker_opens,omitempty"`
 
 	PerScheme []SoakRow `json:"per_scheme"`
 
@@ -330,69 +280,37 @@ func (r *SoakReport) Graceful() bool {
 	return r.InFlightAtEnd == 0 && r.OK+r.Detected+r.Silent+r.GaveUp == r.Issued
 }
 
-// soakOutcome is one precomputed request execution result.
-type soakOutcome struct {
-	class       int // 0 ok, 1 detected, 2 silent
-	cause       fault.Cause
-	cycles      uint64
-	healed      bool
-	injected    int
-	checkpoints int
-	restores    int
-	torn        int
-}
-
-const (
-	classOK = iota
-	classDetected
-	classSilent
-)
-
-// event kinds for the virtual-time replay.
-const (
-	evIssue = iota // client (re)submits a request
-	evDone         // a worker finishes an execution
-	evTick         // the adaptive controller's window boundary (traffic mode)
-)
-
-type event struct {
-	at      uint64
-	seq     int // tiebreak: FIFO among simultaneous events
-	kind    int
-	client  int
-	req     int // request index within the client
-	attempt int // submission attempt (evIssue only)
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
 // Soak runs the simulation. ctx bounds the (parallel) precompute
 // phase; the serial replay is fast and not cancellable.
 func Soak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	cfg = cfg.withDefaults()
-
-	if cfg.Traffic != nil {
-		return soakTraffic(ctx, cfg)
+	rep := &SoakReport{
+		Seed: cfg.Seed, ChaosRate: cfg.ChaosRate, Heal: cfg.Heal,
+		BootModel: cfg.BootModel, Traffic: cfg.Traffic != nil,
 	}
-
-	for _, name := range cfg.Schemes {
+	var arrivals []traffic.Arrival
+	var clients *Clients
+	schemes := cfg.Schemes
+	if cfg.Traffic != nil {
+		var err error
+		if arrivals, err = cfg.Traffic.Generate(); err != nil {
+			return nil, err
+		}
+		if len(arrivals) == 0 {
+			return nil, fmt.Errorf("soak: traffic model generated no arrivals")
+		}
+		schemes = nil
+		for _, c := range cfg.Traffic.Classes {
+			schemes = append(schemes, c.Scheme)
+		}
+		rep.Workload, rep.Schemes = "traffic", ArrivalSchemes(arrivals)
+	} else {
+		clients = NewClients(cfg.Seed, cfg.Clients, cfg.Requests, cfg.Think)
+		arrivals = clients.Arrivals(cfg.Workload, cfg.Schemes)
+		rep.Workload, rep.Schemes = cfg.Workload, cfg.Schemes
+		rep.Clients, rep.PerClient = cfg.Clients, cfg.Requests
+	}
+	for _, name := range schemes {
 		if _, err := ParseScheme(name); err != nil {
 			return nil, err
 		}
@@ -400,304 +318,8 @@ func Soak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 	if err := validBootModel(cfg.BootModel); err != nil {
 		return nil, err
 	}
-
-	// Virtual-time telemetry: the Set's clocks read the replay's `now`
-	// for the whole run, so every stamp in the dump is simulated
-	// cycles. The variable is written only by the serial phase 2;
-	// phase 1 records no events and counter values carry no times.
-	vnow := uint64(0)
-	if cfg.Telemetry != nil {
-		vclock := func() uint64 { return vnow }
-		cfg.Telemetry.Registry().SetClock(vclock)
-		cfg.Telemetry.Log().SetClock(vclock)
-	}
-
-	// The executing server: admission is irrelevant here (the DES
-	// models queueing itself), so requests go straight to execute via
-	// Do-with-wide-limits. Breakers are disabled on this inner server;
-	// the DES drives its own virtual-time breaker. It shares the
-	// caller's metrics registry but gets NO event log: phase 1 runs
-	// requests on a parallel pool, and only commutative counter adds
-	// stay deterministic there — events are recorded exclusively from
-	// the serial replay below.
-	innerReg := cfg.Telemetry.Registry()
-	if innerReg == nil && cfg.BootModel == "warm" {
-		// The report's pool counters come from the inner server's
-		// registry; give it a private one when the caller brought no
-		// telemetry sink.
-		innerReg = telemetry.NewRegistry()
-	}
-	srv := New(Config{
-		Workers:          cfg.Clients + 1, // never shed in the precompute phase
-		Queue:            cfg.Clients * cfg.Requests,
-		Seed:             cfg.Seed,
-		Chaos:            cfg.ChaosRate > 0,
-		ChaosRate:        cfg.ChaosRate,
-		ChaosKinds:       cfg.ChaosKinds,
-		Heal:             cfg.Heal,
-		CheckpointEvery:  cfg.CheckpointEvery,
-		CheckpointCrash:  cfg.CheckpointCrash,
-		BreakerThreshold: -1,
-		Warm:             cfg.BootModel == "warm",
-		Telemetry:        &telemetry.Set{Reg: innerReg},
-	})
-	if _, err := srv.engine(cfg.Workload); err != nil {
+	if err := replay(ctx, cfg, rep, arrivals, clients); err != nil {
 		return nil, err
-	}
-	bootCost, err := bootCosts(srv, cfg.BootModel, cfg.Workload, cfg.Schemes)
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 1: precompute every request's execution outcome in
-	// parallel. Request identity (client, req) fixes the seed, so the
-	// pool's scheduling cannot leak into the results.
-	total := cfg.Clients * cfg.Requests
-	outcomes := make([]soakOutcome, total)
-	err = par.ForEachCtx(ctx, total, func(id int) error {
-		client, reqIdx := id/cfg.Requests, id%cfg.Requests
-		schemeName := cfg.Schemes[reqIdx%len(cfg.Schemes)]
-		reqSeed := mix(int64(client)+0x5f, int64(reqIdx)+1)
-		if reqSeed == 0 {
-			reqSeed = 1 // zero means "server picks"; keep identity-addressed
-		}
-		req := Request{
-			Workload: cfg.Workload,
-			Scheme:   schemeName,
-			Seed:     reqSeed,
-		}
-		res, err := srv.Do(context.Background(), req)
-		switch {
-		case err == nil:
-			outcomes[id] = soakOutcome{
-				class: classOK, cycles: res.Cycles,
-				healed: res.Healed, injected: res.Injected,
-				checkpoints: res.Checkpoints, restores: res.Restores, torn: res.TornCommits,
-			}
-		default:
-			var ce *CorruptionError
-			var se *SilentCorruptionError
-			switch {
-			case errors.As(err, &ce):
-				outcomes[id] = soakOutcome{
-					class: classDetected, cause: ce.Cause,
-					cycles: ce.Cycles, injected: ce.Injected,
-				}
-			case errors.As(err, &se):
-				outcomes[id] = soakOutcome{class: classSilent, cycles: se.Cycles}
-			default:
-				return fmt.Errorf("soak precompute (client %d, request %d): %w", client, reqIdx, err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: serial virtual-time replay of the traffic dynamics.
-	rep := &SoakReport{
-		Seed: cfg.Seed, Workload: cfg.Workload, Schemes: cfg.Schemes,
-		Clients: cfg.Clients, PerClient: cfg.Requests,
-		ChaosRate: cfg.ChaosRate, Heal: cfg.Heal,
-	}
-
-	// Soak-level handles; all nil (and so no-ops) without a Set.
-	reg := cfg.Telemetry.Registry()
-	tlog := cfg.Telemetry.Log()
-	soakSheds := reg.Counter("pacstack_soak_sheds_total", "DES arrivals shed (queue full)")
-	soakRetries := reg.Counter("pacstack_soak_retries_total", "client retries after a rejection")
-	soakDenied := reg.Counter("pacstack_soak_breaker_denied_total", "DES arrivals denied by an open breaker")
-	soakGaveUp := reg.Counter("pacstack_soak_gave_up_total", "requests abandoned after the retry budget")
-	transitionsVec := reg.CounterVec("pacstack_resilience_breaker_transitions_total",
-		"circuit-breaker state changes", "scheme", "to")
-
-	var breakers map[string]*resilience.Breaker
-	if cfg.BreakerThreshold > 0 {
-		breakers = make(map[string]*resilience.Breaker, len(cfg.Schemes))
-		for _, name := range cfg.Schemes {
-			if _, ok := breakers[name]; !ok {
-				scheme := name
-				transitions := transitionsVec.Curry(scheme)
-				breakers[name] = resilience.NewBreaker(resilience.BreakerConfig{
-					Threshold: cfg.BreakerThreshold,
-					Cooldown:  cfg.BreakerCooldown,
-					OnTransition: func(at uint64, from, to resilience.BreakerState) {
-						transitions.With(to.String()).Inc()
-						tlog.Record(telemetry.EvBreaker, scheme, from.String()+"->"+to.String(), at)
-					},
-				})
-			}
-		}
-	}
-	backoffs := make([]*resilience.Backoff, cfg.Clients)
-	thinks := make([]*rand.Rand, cfg.Clients)
-	for c := 0; c < cfg.Clients; c++ {
-		backoffs[c] = resilience.NewBackoff(cfg.BackoffBase, cfg.BackoffCap, mix(cfg.Seed, int64(c)+0x1001))
-		thinks[c] = rand.New(rand.NewSource(mix(cfg.Seed, int64(c)+0x2002)))
-	}
-	think := func(c int) uint64 {
-		// uniform in [Think/2, Think], per-client stream
-		half := cfg.Think / 2
-		return half + uint64(thinks[c].Int63n(int64(cfg.Think-half+1)))
-	}
-
-	rows := make(map[string]*SoakRow, len(cfg.Schemes))
-	rowOrder := []string{}
-	row := func(name string) *SoakRow {
-		r, ok := rows[name]
-		if !ok {
-			r = &SoakRow{Scheme: name}
-			rows[name] = r
-			rowOrder = append(rowOrder, name)
-		}
-		return r
-	}
-	schemeOf := func(reqIdx int) string { return cfg.Schemes[reqIdx%len(cfg.Schemes)] }
-
-	h := &eventHeap{}
-	seq := 0
-	push := func(at uint64, kind, client, req, attempt int) {
-		heap.Push(h, event{at: at, seq: seq, kind: kind, client: client, req: req, attempt: attempt})
-		seq++
-	}
-
-	busy := 0
-	type queued struct {
-		client, req int
-	}
-	var fifo []queued
-	now := uint64(0)
-
-	// start: every client issues its first request after one think.
-	for c := 0; c < cfg.Clients; c++ {
-		push(think(c), evIssue, c, 0, 0)
-	}
-
-	outcomeOf := func(client, req int) soakOutcome { return outcomes[client*cfg.Requests+req] }
-
-	startService := func(client, req int) {
-		busy++
-		o := outcomeOf(client, req)
-		push(now+cfg.Overhead+bootCost[schemeOf(req)]+o.cycles, evDone, client, req, 0)
-	}
-	nextRequest := func(client, req int) {
-		if req+1 < cfg.Requests {
-			push(now+think(client), evIssue, client, req+1, 0)
-		}
-	}
-	var terminal func(client, req int)
-	retryOrGiveUp := func(client, req, attempt int) {
-		if attempt >= cfg.Retries {
-			rep.GaveUp++
-			soakGaveUp.Inc()
-			row(schemeOf(req)).GaveUp++
-			row(schemeOf(req)).Requests++
-			terminal(client, req)
-			return
-		}
-		rep.Retries++
-		soakRetries.Inc()
-		tlog.Record(telemetry.EvRetry, schemeOf(req), "", uint64(attempt+1))
-		push(now+backoffs[client].Delay(attempt), evIssue, client, req, attempt+1)
-	}
-	terminal = func(client, req int) { nextRequest(client, req) }
-
-	for h.Len() > 0 {
-		e := heap.Pop(h).(event)
-		now = e.at
-		vnow = now
-		switch e.kind {
-		case evIssue:
-			name := schemeOf(e.req)
-			if br := breakers[name]; br != nil && !br.Allow(now) {
-				rep.BreakerDenied++
-				soakDenied.Inc()
-				retryOrGiveUp(e.client, e.req, e.attempt)
-				continue
-			}
-			if busy < cfg.Workers {
-				startService(e.client, e.req)
-			} else if len(fifo) < cfg.Queue {
-				fifo = append(fifo, queued{e.client, e.req})
-			} else {
-				rep.Sheds++
-				soakSheds.Inc()
-				tlog.Record(telemetry.EvShed, name, "queue full", now)
-				retryOrGiveUp(e.client, e.req, e.attempt)
-			}
-		case evDone:
-			busy--
-			o := outcomeOf(e.client, e.req)
-			name := schemeOf(e.req)
-			r := row(name)
-			r.Requests++
-			rep.Injected += o.injected
-			rep.Checkpoints += o.checkpoints
-			rep.Restores += o.restores
-			rep.TornCommits += o.torn
-			switch o.class {
-			case classOK:
-				rep.OK++
-				r.OK++
-				if o.healed {
-					rep.Healed++
-					r.Healed++
-				}
-				tlog.Record(telemetry.EvRequestDone, name, "ok", o.cycles)
-			case classDetected:
-				rep.Detected++
-				rep.ByCause[o.cause]++
-				r.Detected++
-				tlog.Record(telemetry.EvRequestDone, name, "detected:"+o.cause.String(), o.cycles)
-			case classSilent:
-				rep.Silent++
-				r.Silent++
-				tlog.Record(telemetry.EvRequestDone, name, "silent", o.cycles)
-			}
-			if br := breakers[name]; br != nil {
-				br.Record(now, o.class == classOK)
-			}
-			if len(fifo) > 0 {
-				q := fifo[0]
-				fifo = fifo[1:]
-				startService(q.client, q.req)
-			}
-			terminal(e.client, e.req)
-		}
-	}
-
-	// Every request reaches exactly one terminal state (done or gave
-	// up) before its client moves on, so the issued total is exact.
-	rep.Issued = cfg.Clients * cfg.Requests
-
-	rep.VirtualCycles = now
-	vnow = now // final stamp for the post-run telemetry dump
-	rep.InFlightAtEnd = busy + len(fifo)
-	rep.BootModel = cfg.BootModel
-	rep.RPVSMilli = rpvsMilli(rep.OK, rep.VirtualCycles)
-	if cfg.BootModel == "warm" {
-		rep.PoolRestores, rep.PoolColdFallbacks, rep.PoolKeyViolations, _ = srv.PoolStats()
-	}
-	for c := 0; c < fault.NumCauses; c++ {
-		if rep.ByCause[c] > 0 {
-			rep.Causes = append(rep.Causes, SchemeCount{Scheme: fault.Cause(c).String(), Count: uint64(rep.ByCause[c])})
-		}
-	}
-	if breakers != nil {
-		for _, name := range cfg.Schemes {
-			br := breakers[name]
-			if br == nil {
-				continue
-			}
-			if n := br.Opens(); n > 0 {
-				rep.BreakerOpens = append(rep.BreakerOpens, SchemeCount{Scheme: name, Count: n})
-			}
-			delete(breakers, name) // cfg.Schemes may repeat a name
-		}
-	}
-	for _, name := range rowOrder {
-		rep.PerScheme = append(rep.PerScheme, *rows[name])
 	}
 	return rep, nil
 }

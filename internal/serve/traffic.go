@@ -1,19 +1,20 @@
-// Open-loop soak: the traffic-model variant of the DES in soak.go.
-// Instead of closed-loop clients issuing requests back-to-back, a
-// seeded traffic.Model generates the full arrival stream upfront —
-// diurnal curve, burst overlays, heavy-tail class mixture, slow
-// clients and poison requests — and the replay drives it through the
-// same virtual-time queue/breaker/backoff machinery, evaluating
-// per-class SLOs as it goes.
+// The soak's event loop: one worker pool in virtual time, fed by either
+// arrival process. Open-loop, a seeded traffic.Model generates the full
+// arrival stream upfront (diurnal curve, burst overlays, heavy-tail
+// class mixture, slow clients and poison requests) and the replay
+// evaluates per-class SLOs as it goes. Closed-loop, Clients issue their
+// requests back to back: a client's next request arrives one think time
+// after its previous one ends.
 //
-// Two things are new relative to the closed-loop soak:
+// Two mechanisms matter under open-loop load:
 //
-//   - A contention model. Service time is (Overhead + victim cycles)
-//     x slow-factor x ceil(busy/Cores): a pool resized beyond the
-//     host's cores degrades everyone's latency instead of magically
-//     adding capacity. The penalty is fixed at service start (no
-//     retroactive stretching), which keeps the DES exact and
-//     deterministic.
+//   - A contention model. Service time is (Overhead + boot cost +
+//     victim cycles) x slow-factor x ceil(busy/Cores): a pool resized
+//     beyond the host's cores degrades everyone's latency instead of
+//     magically adding capacity. The penalty is fixed at service start
+//     (no retroactive stretching), which keeps the DES exact and
+//     deterministic. Closed-loop clients never exceed the pool, so the
+//     penalty stays 1.
 //
 //   - An adaptive admission loop. With SoakConfig.Adaptive set, a
 //     clock-free resilience.AIMD controller ticks every Interval
@@ -30,195 +31,79 @@
 // latency makes it shrink exactly when it should grow; feeding it
 // dilation makes decrease fire only on genuine core oversubscription.
 // SLOs are still judged on end-to-end latency (what a client sees).
-//
-// Everything stays a pure function of (model, seed): outcomes are
-// precomputed in parallel from per-arrival seeds, the replay is
-// serial, and the SLO report embedded in the SoakReport is
-// byte-identical at any -par width.
 
 package serve
 
 import (
-	"container/heap"
 	"context"
-	"errors"
 	"fmt"
 
-	"pacstack/internal/fault"
-	"pacstack/internal/par"
 	"pacstack/internal/resilience"
 	"pacstack/internal/telemetry"
 	"pacstack/internal/traffic"
 )
 
-// soakTraffic runs the open-loop DES. Callers arrive through Soak,
-// which has already applied defaults.
-func soakTraffic(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
-	model := cfg.Traffic
-	arrivals, err := model.Generate()
+// Replay event kinds.
+const (
+	evIssue = iota // a request is (re)submitted
+	evDone         // a worker finishes an execution
+	evTick         // the adaptive controller's window boundary
+)
+
+// replay precomputes the arrivals' outcomes and replays them through
+// the worker pool into rep. clients is the closed-loop arrival process,
+// nil for an open-loop run.
+func replay(ctx context.Context, cfg SoakConfig, rep *SoakReport, arrivals []traffic.Arrival, clients *Clients) error {
+	q := &Queue{}
+	q.Stamp(cfg.Telemetry)
+	seed := ArrivalSeed(cfg.Seed)
+	if clients != nil {
+		seed = clients.Seed
+	}
+	outcomes, srv, err := Precompute(ctx, Config{
+		Seed:            cfg.Seed,
+		Chaos:           cfg.ChaosRate > 0,
+		ChaosRate:       cfg.ChaosRate,
+		ChaosKinds:      cfg.ChaosKinds,
+		Heal:            cfg.Heal,
+		CheckpointEvery: cfg.CheckpointEvery,
+		CheckpointCrash: cfg.CheckpointCrash,
+		Warm:            cfg.BootModel == "warm",
+		Telemetry:       cfg.Telemetry,
+	}, arrivals, seed)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	if len(arrivals) == 0 {
-		return nil, fmt.Errorf("soak: traffic model generated no arrivals")
-	}
-	for _, c := range model.Classes {
-		name := c.Scheme
-		if name == "" {
-			name = "pacstack"
+	// Per-(workload, scheme) machine-acquisition charge under the boot
+	// model; empty under the legacy model.
+	bootCost := map[string]uint64{}
+	for _, a := range arrivals {
+		key := a.Workload + "/" + a.Scheme
+		if _, ok := bootCost[key]; !ok {
+			if bootCost[key], err = srv.bootCost(cfg.BootModel, a.Workload, a.Scheme); err != nil {
+				return err
+			}
 		}
-		if _, err := ParseScheme(name); err != nil {
-			return nil, err
-		}
-	}
-	if err := validBootModel(cfg.BootModel); err != nil {
-		return nil, err
 	}
 
-	vnow := uint64(0)
-	if cfg.Telemetry != nil {
-		vclock := func() uint64 { return vnow }
-		cfg.Telemetry.Registry().SetClock(vclock)
-		cfg.Telemetry.Log().SetClock(vclock)
-	}
 	reg := cfg.Telemetry.Registry()
 	tlog := cfg.Telemetry.Log()
-
-	// Two inner servers share the registry (commuting counters only;
-	// no event log — events come solely from the serial replay): the
-	// regular one with the configured chaos rate, and the poison one
-	// whose every attempt arms an injection, which is what makes
-	// poison arrivals guaranteed hostile without touching the seeds of
-	// regular traffic.
-	inner := Config{
-		Workers:          len(arrivals) + 1, // never shed in the precompute phase
-		Queue:            len(arrivals),
-		Seed:             cfg.Seed,
-		Chaos:            cfg.ChaosRate > 0,
-		ChaosRate:        cfg.ChaosRate,
-		ChaosKinds:       cfg.ChaosKinds,
-		Heal:             cfg.Heal,
-		CheckpointEvery:  cfg.CheckpointEvery,
-		CheckpointCrash:  cfg.CheckpointCrash,
-		BreakerThreshold: -1,
-		Warm:             cfg.BootModel == "warm",
-		Telemetry:        &telemetry.Set{Reg: reg},
+	// A closed-loop run has no classes; its one-class evaluator is
+	// never reported.
+	eval := traffic.NewEvaluator([]traffic.Class{{}}, nil)
+	var soakResizes *telemetry.Counter
+	if cfg.Traffic != nil {
+		eval = traffic.NewEvaluator(cfg.Traffic.Classes, reg)
+		soakResizes = reg.Counter("pacstack_soak_adaptive_resizes_total", "adaptive worker-limit changes")
 	}
-	if inner.Warm && reg == nil {
-		// The report's pool counters come from the inner servers'
-		// registry; give them a private one when the caller brought no
-		// telemetry sink.
-		reg = telemetry.NewRegistry()
-		inner.Telemetry = &telemetry.Set{Reg: reg}
-	}
-	srv := New(inner)
-	poisoned := inner
-	poisoned.Chaos = true
-	poisoned.ChaosRate = 1
-	poisoned.ChaosKinds = []fault.Kind{fault.KindRetAddr, fault.KindStackSmash}
-	psrv := New(poisoned)
-
-	// Pre-resolve every workload so an unknown name fails fast and the
-	// parallel phase never contends on an engine build.
-	for _, a := range arrivals {
-		s := srv
-		if a.Poison {
-			s = psrv
-		}
-		if _, err := s.engine(a.Workload); err != nil {
-			return nil, err
-		}
-	}
-
-	// Per-(workload, scheme) machine-acquisition charge under the
-	// selected boot model; empty under the legacy model.
-	bootCost := map[string]uint64{}
-	if cfg.BootModel != "" {
-		for _, a := range arrivals {
-			key := a.Workload + "/" + a.Scheme
-			if _, ok := bootCost[key]; ok {
-				continue
-			}
-			s := srv
-			if a.Poison {
-				s = psrv
-			}
-			costs, err := bootCosts(s, cfg.BootModel, a.Workload, []string{a.Scheme})
-			if err != nil {
-				return nil, err
-			}
-			bootCost[key] = costs[a.Scheme]
-		}
-	}
-
-	// Phase 1: parallel outcome precompute, seeded by arrival index.
-	outcomes := make([]soakOutcome, len(arrivals))
-	err = par.ForEachCtx(ctx, len(arrivals), func(id int) error {
-		a := arrivals[id]
-		s := srv
-		if a.Poison {
-			s = psrv
-		}
-		reqSeed := mix(cfg.Seed, int64(id)+0x5f01)
-		if reqSeed == 0 {
-			reqSeed = 1
-		}
-		res, err := s.Do(context.Background(), Request{
-			Workload: a.Workload,
-			Scheme:   a.Scheme,
-			Seed:     reqSeed,
-		})
-		switch {
-		case err == nil:
-			outcomes[id] = soakOutcome{
-				class: classOK, cycles: res.Cycles,
-				healed: res.Healed, injected: res.Injected,
-				checkpoints: res.Checkpoints, restores: res.Restores, torn: res.TornCommits,
-			}
-		default:
-			var ce *CorruptionError
-			var se *SilentCorruptionError
-			switch {
-			case errors.As(err, &ce):
-				outcomes[id] = soakOutcome{
-					class: classDetected, cause: ce.Cause,
-					cycles: ce.Cycles, injected: ce.Injected,
-				}
-			case errors.As(err, &se):
-				outcomes[id] = soakOutcome{class: classSilent, cycles: se.Cycles}
-			default:
-				return fmt.Errorf("soak precompute (arrival %d, %s/%s): %w", id, a.Workload, a.Scheme, err)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	// Phase 2: serial virtual-time replay.
-	var schemes []string
-	seenScheme := map[string]bool{}
-	for _, a := range arrivals {
-		if !seenScheme[a.Scheme] {
-			seenScheme[a.Scheme] = true
-			schemes = append(schemes, a.Scheme)
-		}
-	}
-	rep := &SoakReport{
-		Seed: cfg.Seed, Workload: "traffic", Schemes: schemes,
-		ChaosRate: cfg.ChaosRate, Heal: cfg.Heal, Traffic: true,
-	}
-	eval := traffic.NewEvaluator(model.Classes, reg)
-
 	soakSheds := reg.Counter("pacstack_soak_sheds_total", "DES arrivals shed (queue full)")
 	soakRetries := reg.Counter("pacstack_soak_retries_total", "client retries after a rejection")
 	soakDenied := reg.Counter("pacstack_soak_breaker_denied_total", "DES arrivals denied by an open breaker")
 	soakGaveUp := reg.Counter("pacstack_soak_gave_up_total", "requests abandoned after the retry budget")
-	soakResizes := reg.Counter("pacstack_soak_adaptive_resizes_total", "adaptive worker-limit changes")
 	transitionsVec := reg.CounterVec("pacstack_resilience_breaker_transitions_total",
 		"circuit-breaker state changes", "scheme", "to")
 
+	schemes := ArrivalSchemes(arrivals)
 	var breakers map[string]*resilience.Breaker
 	if cfg.BreakerThreshold > 0 {
 		breakers = make(map[string]*resilience.Breaker, len(schemes))
@@ -235,34 +120,9 @@ func soakTraffic(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 			})
 		}
 	}
-	backoffs := map[int]*resilience.Backoff{}
-	backoff := func(id int) *resilience.Backoff {
-		b, ok := backoffs[id]
-		if !ok {
-			b = resilience.NewBackoff(cfg.BackoffBase, cfg.BackoffCap, mix(cfg.Seed, int64(id)+0x3003))
-			backoffs[id] = b
-		}
-		return b
-	}
+	backoffs := NewBackoffs(cfg.Seed, cfg.BackoffBase, cfg.BackoffCap, clients)
 
-	rows := make(map[string]*SoakRow, len(schemes))
-	rowOrder := []string{}
-	row := func(name string) *SoakRow {
-		r, ok := rows[name]
-		if !ok {
-			r = &SoakRow{Scheme: name}
-			rows[name] = r
-			rowOrder = append(rowOrder, name)
-		}
-		return r
-	}
-
-	workers := cfg.Workers
-	queueCap := cfg.Queue
-	cores := cfg.Cores
-	if cores <= 0 {
-		cores = cfg.Workers
-	}
+	workers, queueCap := cfg.Workers, cfg.Queue
 	var ctl *resilience.AIMD
 	if cfg.Adaptive != nil {
 		ac := *cfg.Adaptive
@@ -283,23 +143,20 @@ func soakTraffic(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 		queueCap = 2 * workers
 	}
 
-	h := &eventHeap{}
-	seq := 0
-	push := func(at uint64, kind, client, attempt int) {
-		heap.Push(h, event{at: at, seq: seq, kind: kind, client: client, attempt: attempt})
-		seq++
-	}
-	for i, a := range arrivals {
-		push(a.At, evIssue, i, 0)
-		eval.Arrival(a.Class)
+	if clients != nil {
+		clients.Start(q, evIssue)
+	} else {
+		for i, a := range arrivals {
+			q.Push(Event{At: a.At, Kind: evIssue, ID: i})
+			eval.Arrival(a.Class)
+		}
 	}
 	if ctl != nil {
-		push(ctl.Interval(), evTick, 0, 0)
+		q.Push(Event{At: ctl.Interval(), Kind: evTick})
 	}
 
 	busy := 0
 	var fifo []int
-	now := uint64(0)
 	served := make([]uint64, len(arrivals)) // service duration, for the controller
 
 	startService := func(id int) {
@@ -308,14 +165,13 @@ func soakTraffic(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 			ctl.ObserveBusy(busy)
 		}
 		a := arrivals[id]
-		o := outcomes[id]
 		// Slow clients stretch their whole occupancy; the contention
 		// penalty is ceil(busy/cores) at start — an over-grown pool
 		// slows everything it admits.
-		dur := (cfg.Overhead + bootCost[a.Workload+"/"+a.Scheme] + o.cycles) * a.Slow
-		dur *= uint64((busy + cores - 1) / cores)
+		dur := (cfg.Overhead + bootCost[a.Workload+"/"+a.Scheme] + outcomes[id].Cycles) * a.Slow
+		dur *= uint64((busy + cfg.Cores - 1) / cfg.Cores)
 		served[id] = dur
-		push(now+dur, evDone, id, 0)
+		q.Push(Event{At: q.Now() + dur, Kind: evDone, ID: id})
 	}
 	admit := func() {
 		for busy < workers && len(fifo) > 0 {
@@ -324,42 +180,45 @@ func soakTraffic(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 			startService(id)
 		}
 	}
+	// terminal moves a closed-loop client on to its next request.
+	terminal := func(id int) {
+		if clients != nil {
+			clients.Next(q, evIssue, id)
+		}
+	}
 	retryOrGiveUp := func(id, attempt int) {
 		a := arrivals[id]
 		if attempt >= cfg.Retries {
-			rep.GaveUp++
+			rep.GiveUp(a.Scheme)
 			soakGaveUp.Inc()
-			r := row(a.Scheme)
-			r.GaveUp++
-			r.Requests++
-			eval.Done(a.Class, now-a.At, traffic.OutcomeGaveUp)
+			eval.Done(a.Class, q.Now()-a.At, traffic.OutcomeGaveUp)
+			terminal(id)
 			return
 		}
 		rep.Retries++
 		soakRetries.Inc()
 		eval.Retry(a.Class)
 		tlog.Record(telemetry.EvRetry, a.Scheme, "", uint64(attempt+1))
-		push(now+backoff(id).Delay(attempt), evIssue, id, attempt+1)
+		q.Push(Event{At: q.Now() + backoffs.Delay(id, attempt), Kind: evIssue, ID: id, Attempt: attempt + 1})
 	}
 
-	for h.Len() > 0 {
-		e := heap.Pop(h).(event)
-		now = e.at
-		vnow = now
-		switch e.kind {
+	for q.Len() > 0 {
+		e := q.Pop()
+		now := e.At
+		a := arrivals[e.ID]
+		switch e.Kind {
 		case evIssue:
-			a := arrivals[e.client]
 			if br := breakers[a.Scheme]; br != nil && !br.Allow(now) {
 				rep.BreakerDenied++
 				soakDenied.Inc()
-				retryOrGiveUp(e.client, e.attempt)
+				retryOrGiveUp(e.ID, e.Attempt)
 				continue
 			}
 			switch {
 			case busy < workers:
-				startService(e.client)
+				startService(e.ID)
 			case len(fifo) < queueCap:
-				fifo = append(fifo, e.client)
+				fifo = append(fifo, e.ID)
 			default:
 				rep.Sheds++
 				soakSheds.Inc()
@@ -368,49 +227,21 @@ func soakTraffic(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 					ctl.ObserveShed()
 				}
 				tlog.Record(telemetry.EvShed, a.Scheme, "queue full", now)
-				retryOrGiveUp(e.client, e.attempt)
+				retryOrGiveUp(e.ID, e.Attempt)
 			}
 		case evDone:
 			busy--
-			id := e.client
-			a := arrivals[id]
-			o := outcomes[id]
-			r := row(a.Scheme)
-			r.Requests++
-			rep.Injected += o.injected
-			rep.Checkpoints += o.checkpoints
-			rep.Restores += o.restores
-			rep.TornCommits += o.torn
-			lat := now - a.At
-			switch o.class {
-			case classOK:
-				rep.OK++
-				r.OK++
-				if o.healed {
-					rep.Healed++
-					r.Healed++
-				}
-				eval.Done(a.Class, lat, traffic.OutcomeOK)
-				tlog.Record(telemetry.EvRequestDone, a.Scheme, "ok", o.cycles)
-			case classDetected:
-				rep.Detected++
-				rep.ByCause[o.cause]++
-				r.Detected++
-				eval.Done(a.Class, lat, traffic.OutcomeDetected)
-				tlog.Record(telemetry.EvRequestDone, a.Scheme, "detected:"+o.cause.String(), o.cycles)
-			case classSilent:
-				rep.Silent++
-				r.Silent++
-				eval.Done(a.Class, lat, traffic.OutcomeSilent)
-				tlog.Record(telemetry.EvRequestDone, a.Scheme, "silent", o.cycles)
-			}
+			o := outcomes[e.ID]
+			eval.Done(a.Class, now-a.At, o.Class)
+			rep.Done(tlog, a.Scheme, o)
 			if ctl != nil {
-				ctl.ObserveLatency(served[id])
+				ctl.ObserveLatency(served[e.ID])
 			}
 			if br := breakers[a.Scheme]; br != nil {
-				br.Record(now, o.class == classOK)
+				br.Record(now, o.Class == traffic.OutcomeOK)
 			}
 			admit()
+			terminal(e.ID)
 		case evTick:
 			if limit := ctl.Tick(); limit != workers {
 				soakResizes.Inc()
@@ -419,21 +250,20 @@ func soakTraffic(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 				queueCap = 2 * limit
 				admit()
 			}
-			if h.Len() > 0 {
-				push(now+ctl.Interval(), evTick, 0, 0)
+			if q.Len() > 0 {
+				q.Push(Event{At: now + ctl.Interval(), Kind: evTick})
 			}
 		}
 	}
 
 	rep.Issued = len(arrivals)
-	rep.VirtualCycles = now
-	vnow = now
+	rep.VirtualCycles = q.Now()
 	rep.InFlightAtEnd = busy + len(fifo)
-	for c := 0; c < fault.NumCauses; c++ {
-		if rep.ByCause[c] > 0 {
-			rep.Causes = append(rep.Causes, SchemeCount{Scheme: fault.Cause(c).String(), Count: uint64(rep.ByCause[c])})
-		}
+	rep.RPVSMilli = rpvsMilli(rep.OK, rep.VirtualCycles)
+	if cfg.BootModel == "warm" {
+		rep.PoolRestores, rep.PoolColdFallbacks, rep.PoolKeyViolations, _ = srv.PoolStats()
 	}
+	rep.PerScheme = rep.Close()
 	for _, name := range schemes {
 		if br := breakers[name]; br != nil {
 			if n := br.Opens(); n > 0 {
@@ -441,20 +271,14 @@ func soakTraffic(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 			}
 		}
 	}
-	for _, name := range rowOrder {
-		rep.PerScheme = append(rep.PerScheme, *rows[name])
+	if cfg.Traffic != nil {
+		rep.SLO = eval.Report()
+		rep.SLO.RPVSMilli = rep.RPVSMilli
+		rep.SLO.Adaptive = ctl != nil
+		if ctl != nil {
+			st := ctl.Stats()
+			rep.SLO.Controller = &st
+		}
 	}
-	rep.BootModel = cfg.BootModel
-	rep.RPVSMilli = rpvsMilli(rep.OK, rep.VirtualCycles)
-	if cfg.BootModel == "warm" {
-		rep.PoolRestores, rep.PoolColdFallbacks, rep.PoolKeyViolations, _ = srv.PoolStats()
-	}
-	rep.SLO = eval.Report()
-	rep.SLO.RPVSMilli = rep.RPVSMilli
-	rep.SLO.Adaptive = ctl != nil
-	if ctl != nil {
-		st := ctl.Stats()
-		rep.SLO.Controller = &st
-	}
-	return rep, nil
+	return nil
 }
