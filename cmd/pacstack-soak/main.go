@@ -61,8 +61,8 @@
 //
 // With -telemetry-dump, the run's full telemetry (virtual-time
 // metrics registry plus security event ring) is written to PATH as
-// JSON — byte-identical for one seed, which is what the check.sh
-// double-run cmp gate rests on.
+// JSON — byte-identical for one seed, which is what the soak goldens
+// (TestSoakGoldens, testdata/soak) rest on.
 //
 // The -cpuprofile / -memprofile flags (same contract as
 // pacstack-bench) write pprof profiles of the run, so the execution

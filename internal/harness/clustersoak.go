@@ -9,8 +9,7 @@ import (
 
 // ClusterSoak renders a cluster-soak report (internal/cluster.Soak) as
 // the deterministic end-of-run summary cmd/pacstack-cluster prints.
-// Like Soak, the text is a pure function of the report — check.sh
-// diffs two runs of this output at different worker widths.
+// Like Soak, the text is a pure function of the report.
 func ClusterSoak(r *cluster.ClusterReport) string {
 	var b strings.Builder
 	b.WriteString("Cluster soak: seeded virtual-time traffic against a multi-backend fleet (internal/cluster)\n")

@@ -10,7 +10,7 @@ import (
 // Soak renders a chaos-soak report (internal/serve.Soak) as the
 // deterministic end-of-run summary cmd/pacstack-soak prints. The text
 // is a pure function of the report, so byte-identical reports render
-// byte-identically — check.sh diffs two runs of this output.
+// byte-identically.
 func Soak(r *serve.SoakReport) string {
 	var b strings.Builder
 	if r.Traffic {

@@ -20,8 +20,8 @@
 //     values — so a snapshot of a seeded run is byte-identical
 //     regardless of goroutine interleaving or worker-pool width. All
 //     timestamps come from an injected clock (virtual cycles in the
-//     soak and crash matrix, wall nanoseconds in the daemon), so the
-//     repository gate can `cmp` two telemetry dumps of the same seed.
+//     soak and crash matrix, wall nanoseconds in the daemon), so two
+//     telemetry dumps of the same seed compare byte for byte.
 //
 // Naming scheme: pacstack_<component>_<noun>[_<unit>]_total for
 // counters, pacstack_<component>_<noun> for gauges and histograms.

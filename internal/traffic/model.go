@@ -15,7 +15,7 @@
 // worker-pool width. The diurnal curve is a triangle wave rather than
 // a sine on purpose — it needs no math.Sin, whose implementation is
 // architecture-dependent assembly on some ports, and bit-stable
-// arrivals are what the check.sh cmp gates rest on.
+// arrivals are what the soak goldens rest on.
 //
 // The package also owns SLO evaluation (slo.go): per-class latency
 // histograms recorded into the shared telemetry registry, quantiles
