@@ -9,8 +9,18 @@ set -eux
 cd "$(dirname "$0")"
 go build ./...
 go vet ./...
+# Every tracked Go file is gofmt-clean (git ls-files keeps the walk out
+# of .bench_build/).
+test -z "$(gofmt -l $(git ls-files '*.go'))"
 go test -race ./...
 go test -run=NONE -bench=. -benchtime=1x ./...
+
+# The benchmark is its own module (perfbench/go.mod), so the root
+# ./... patterns skip it; it calls qarma, kernel, pool and serve
+# directly, and an API change there must fail here, not on the next
+# benchmark run.
+go -C perfbench vet ./...
+go -C perfbench test ./...
 
 # Trace-compilation gate: the block-compiled engine must be observably
 # identical to the single-step oracle — the cpu differential suite

@@ -23,7 +23,7 @@ func main() {
 	log.SetPrefix("qarma64: ")
 	check := flag.Bool("check", false, "verify the published sigma0 test vectors (r = 5, 6, 7)")
 	dec := flag.Bool("dec", false, "decrypt instead of encrypt")
-	rounds := flag.Int("rounds", qarma.DefaultRounds, "forward round count r")
+	rounds := flag.Int("rounds", qarma.DefaultRounds, fmt.Sprintf("forward round count r (1..%d)", qarma.MaxRounds))
 	sbox := flag.Int("sbox", 0, "S-box variant (0, 1 or 2)")
 	w0 := flag.String("w0", "", "whitening key half (hex)")
 	k0 := flag.String("k0", "", "core key half (hex)")
@@ -36,6 +36,14 @@ func main() {
 	}
 	if flag.NArg() != 1 || *w0 == "" || *k0 == "" {
 		flag.Usage()
+		os.Exit(2)
+	}
+	if *sbox < 0 || *sbox > 2 {
+		log.Printf("-sbox %d: want 0, 1 or 2", *sbox)
+		os.Exit(2)
+	}
+	if *rounds < 1 || *rounds > qarma.MaxRounds {
+		log.Printf("-rounds %d: want 1..%d", *rounds, qarma.MaxRounds)
 		os.Exit(2)
 	}
 	c := qarma.New(parseHex(*w0), parseHex(*k0), qarma.Config{

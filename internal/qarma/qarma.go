@@ -33,6 +33,10 @@ const (
 // known-answer vectors use r=5.
 const DefaultRounds = 7
 
+// MaxRounds is the largest round count r the specification defines
+// round constants for.
+const MaxRounds = 8
+
 // BlockSize is the cipher block size in bytes.
 const BlockSize = 8
 
@@ -57,14 +61,19 @@ type Config struct {
 	Sbox Sigma
 }
 
-// New returns a QARMA-64 cipher for the 128-bit key (w0, k0).
+// New returns a QARMA-64 cipher for the 128-bit key (w0, k0). It
+// panics on a round count outside 1..MaxRounds or an unknown S-box.
 func New(w0, k0 uint64, cfg Config) *Cipher {
 	r := cfg.Rounds
 	if r == 0 {
 		r = DefaultRounds
 	}
-	if r < 1 || r > len(roundConstants) {
+	if r < 1 || r > MaxRounds {
 		panic("qarma: round count out of range")
+	}
+	sb, ok := sboxes[cfg.Sbox]
+	if !ok {
+		panic("qarma: unknown S-box variant")
 	}
 	return &Cipher{
 		w0:     w0,
@@ -72,7 +81,7 @@ func New(w0, k0 uint64, cfg Config) *Cipher {
 		k0:     k0,
 		k1:     k0,
 		rounds: r,
-		sbox:   sboxes[cfg.Sbox],
+		sbox:   sb,
 	}
 }
 

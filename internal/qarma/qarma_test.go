@@ -174,6 +174,10 @@ func TestNewFromBytes(t *testing.T) {
 
 func TestNewPanicsOnBadArgs(t *testing.T) {
 	mustPanic(t, func() { New(0, 0, Config{Rounds: 100}) })
+	mustPanic(t, func() { New(0, 0, Config{Rounds: -1}) })
+	mustPanic(t, func() { New(0, 0, Config{Rounds: MaxRounds + 1}) })
+	mustPanic(t, func() { New(0, 0, Config{Sbox: Sigma(3)}) })
+	mustPanic(t, func() { New(0, 0, Config{Sbox: Sigma(-1)}) })
 	mustPanic(t, func() { NewFromBytes(make([]byte, 3), Config{}) })
 }
 

@@ -6,7 +6,7 @@ package qarma
 // roundConstants are the per-round constants c_i, derived from the
 // expansion of π. c_0 = 0 so that the first (short) round adds only
 // the key and tweak.
-var roundConstants = [8]uint64{
+var roundConstants = [MaxRounds]uint64{
 	0x0000000000000000,
 	0x13198A2E03707344,
 	0xA4093822299F31D0,

@@ -2,13 +2,17 @@ package snap
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"hash/crc64"
 	"testing"
 
 	"pacstack/internal/compile"
 	"pacstack/internal/cpu"
 	"pacstack/internal/kernel"
+	"pacstack/internal/mem"
 	"pacstack/internal/pa"
 )
 
@@ -70,6 +74,85 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 	if dec.Tasks[0].M != cp.Tasks[0].M {
 		t.Errorf("task 0 machine state did not round-trip")
+	}
+}
+
+// TestImageDigestPinned pins the exact image bytes of seeded victim
+// checkpoints. The soak goldens pin only the committed byte total, so
+// a codec change that kept every image's length but moved its contents
+// would pass them; it cannot pass this.
+func TestImageDigestPinned(t *testing.T) {
+	for _, tc := range []struct {
+		seed   int64
+		instrs uint64
+		sha256 string
+	}{
+		{7, 500, "7511f3247c014c5715a3b4e23691dab4db29a13028190b8ca1a78686a44ad83f"},
+		{3, 250, "503f4ce296bc703cd101a8f32f3a819488b54c1413914d6fd28610242216b1de"},
+		{21, 700, "4cc9ff6496fc87fc2764dbaba6b818274cc00df2f8c23e1a12677d98bd3d064c"},
+	} {
+		p, img := bootVictim(t, tc.seed, tc.instrs)
+		enc, err := Encode(p.Checkpoint(), img.Prog)
+		if err != nil {
+			t.Fatalf("seed %d: encode: %v", tc.seed, err)
+		}
+		if sum := sha256.Sum256(enc); hex.EncodeToString(sum[:]) != tc.sha256 {
+			t.Errorf("seed %d at %d instructions: image sha256 %x, want %s", tc.seed, tc.instrs, sum, tc.sha256)
+		}
+	}
+}
+
+// TestEncodeTrimsTrailingZeros checks the page trim at every distance
+// 0-15 of the last non-zero byte from the page end (two words' worth),
+// at chunk-sized boundaries inside the page, and on an all-zero and a
+// full page: the decoded data must be exactly the page up to its last
+// non-zero byte, and Encode must leave the page it read untouched.
+func TestEncodeTrimsTrailingZeros(t *testing.T) {
+	p, img := bootVictim(t, 7, 500)
+	base := p.Checkpoint()
+	// upTo returns a page whose last non-zero byte is at index last,
+	// with zero bytes scattered before it.
+	upTo := func(last int) []byte {
+		d := make([]byte, mem.PageSize)
+		for i := 0; i < last; i++ {
+			d[i] = byte(i*7 + 1)
+		}
+		d[last] = 0xA5
+		return d
+	}
+	type trimCase struct {
+		name string
+		data []byte
+		want int
+	}
+	cases := []trimCase{
+		{"all-zero", make([]byte, mem.PageSize), 0},
+		{"full", bytes.Repeat([]byte{0xFF}, mem.PageSize), mem.PageSize},
+	}
+	for k := 0; k < 16; k++ {
+		cases = append(cases, trimCase{fmt.Sprintf("end-%d", k), upTo(mem.PageSize - 1 - k), mem.PageSize - k})
+	}
+	for _, last := range []int{0, 7, 8, 31, 32, 63, 64, 255, 256, mem.PageSize / 2} {
+		cases = append(cases, trimCase{fmt.Sprintf("at-%d", last), upTo(last), last + 1})
+	}
+	for _, tc := range cases {
+		orig := append([]byte(nil), tc.data...)
+		cp := *base
+		cp.Pages = []mem.PageState{{Addr: 0x40000, Perm: mem.PermRW, Data: tc.data}}
+		enc, err := Encode(&cp, img.Prog)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", tc.name, err)
+		}
+		dec, _, err := Decode(enc)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", tc.name, err)
+		}
+		if got := dec.Pages[0].Data; !bytes.Equal(got, orig[:tc.want]) {
+			t.Errorf("%s: decoded %d bytes, want the first %d of the page", tc.name, len(got), tc.want)
+		}
+		if !bytes.Equal(tc.data, orig) {
+			t.Errorf("%s: Encode modified the page it encoded", tc.name)
+		}
 	}
 }
 
