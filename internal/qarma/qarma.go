@@ -12,7 +12,18 @@
 // The state is 64 bits viewed as sixteen 4-bit cells arranged in a 4x4
 // matrix; cell 0 is the most significant nibble. The key is 128 bits,
 // split into a whitening key w0 and a core key k0.
+//
+// Encryption and decryption run a byte at a time on tables built once
+// at package init: every XOR-linear layer (ShuffleCells then
+// MixColumns, its inverse, the pseudo-reflector core and the tweak
+// update) is eight 256-entry uint64 tables indexed by state byte, and
+// every S-box is a 256-entry byte table substituting two cells at
+// once. The tables are tabulated from the cell-at-a-time primitives
+// below, and a differential test holds the result to a cell-at-a-time
+// reference cipher.
 package qarma
+
+import "math/bits"
 
 // Sigma selects one of the three involutory-or-almost S-boxes defined
 // for the QARMA family. The ARMv8.3-A reference implementation uses
@@ -47,9 +58,13 @@ const KeySize = 16
 // count. It is immutable after creation and safe for concurrent use.
 type Cipher struct {
 	w0, w1 uint64 // whitening keys
-	k0, k1 uint64 // core keys (k1 = k0; kept separate to mirror the spec)
-	rounds int
-	sbox   *sboxPair
+	k0     uint64 // core key; the reflector key k1 equals k0
+	// rk and rkInv are the reflector's key terms with the reflector's
+	// trailing linear layers folded in once: τ⁻¹(k1) for encryption
+	// and τ⁻¹M(k1) for decryption (see run).
+	rk, rkInv uint64
+	rounds    int
+	sbox      *sboxTable
 }
 
 // Config carries the cipher parameters that are not part of the key.
@@ -71,17 +86,17 @@ func New(w0, k0 uint64, cfg Config) *Cipher {
 	if r < 1 || r > MaxRounds {
 		panic("qarma: round count out of range")
 	}
-	sb, ok := sboxes[cfg.Sbox]
-	if !ok {
+	if cfg.Sbox < 0 || int(cfg.Sbox) >= len(sboxes) {
 		panic("qarma: unknown S-box variant")
 	}
 	return &Cipher{
 		w0:     w0,
 		w1:     omega(w0),
 		k0:     k0,
-		k1:     k0,
+		rk:     shuffle(k0, cellPermInv[:]),
+		rkInv:  mtInv.apply(k0),
 		rounds: r,
-		sbox:   sb,
+		sbox:   &sboxes[cfg.Sbox],
 	}
 }
 
@@ -114,106 +129,121 @@ func omega(w0 uint64) uint64 {
 // Encrypt computes the QARMA-64 encryption of the plaintext block p
 // under tweak t.
 func (c *Cipher) Encrypt(p, t uint64) uint64 {
-	is := p ^ c.w0
-	tweak := t
-
-	// Forward rounds. Round 0 is "short": no shuffle or MixColumns.
-	for i := 0; i < c.rounds; i++ {
-		is = c.forward(is, c.k0^tweak^roundConstants[i], i != 0)
-		tweak = tweakForward(tweak)
-	}
-
-	// Central construction: one full forward round keyed with
-	// w1 ^ tweak, the pseudo-reflector keyed with k1, then one full
-	// backward round keyed with w0 ^ tweak.
-	is = c.forward(is, c.w1^tweak, true)
-	is = c.reflect(is, c.k1)
-	is = c.backward(is, c.w0^tweak, true)
-
-	// Backward rounds, mirroring the forward ones.
-	for i := c.rounds - 1; i >= 0; i-- {
-		tweak = tweakBackward(tweak)
-		is = c.backward(is, c.k0^tweak^roundConstants[i]^alpha, i != 0)
-	}
-
-	return is ^ c.w1
+	return c.run(p, t, c.w0, c.w1, 0, c.rk)
 }
 
 // Decrypt inverts Encrypt: Decrypt(Encrypt(p, t), t) == p.
 //
-// Decryption of QARMA is encryption with the derived key set
-// (w0', k0') = (w1, k0^alpha) and the reflector key replaced by
-// o(k1) folded in; the spec expresses this as running the circuit
-// backwards, which is what we do here for clarity.
+// QARMA decryption is the encryption circuit under the derived key
+// set the specification gives: the whitening keys swapped, α moved
+// from the backward round keys to the forward ones, and the reflector
+// key term τ⁻¹M(k1) in place of τ⁻¹(k1).
 func (c *Cipher) Decrypt(ct, t uint64) uint64 {
-	is := ct ^ c.w1
-
-	// Recompute the tweak sequence so we can walk it in reverse.
-	tweaks := make([]uint64, c.rounds+1)
-	tw := t
-	for i := 0; i < c.rounds; i++ {
-		tweaks[i] = tw
-		tw = tweakForward(tw)
-	}
-	tweaks[c.rounds] = tw // tweak used for the central rounds
-
-	// Undo backward rounds (they become forward rounds in reverse).
-	for i := 0; i < c.rounds; i++ {
-		is = c.forward(is, c.k0^tweaks[i]^roundConstants[i]^alpha, i != 0)
-	}
-
-	// Undo the central construction.
-	is = c.forward(is, c.w0^tweaks[c.rounds], true)
-	is = c.reflectInv(is, c.k1)
-	is = c.backward(is, c.w1^tweaks[c.rounds], true)
-
-	// Undo forward rounds.
-	for i := c.rounds - 1; i >= 0; i-- {
-		is = c.backward(is, c.k0^tweaks[i]^roundConstants[i], i != 0)
-	}
-
-	return is ^ c.w0
+	return c.run(ct, t, c.w1, c.w0, alpha, c.rkInv)
 }
 
-// forward applies one forward round: add round tweakey, then (unless
-// the round is short) ShuffleCells and MixColumns, then the S layer.
-func (c *Cipher) forward(is, tk uint64, full bool) uint64 {
-	is ^= tk
-	if full {
-		is = shuffle(is, cellPerm[:])
-		is = mixColumns(is)
+// run is the QARMA-64 circuit: r forward rounds (round 0 short, with
+// no ShuffleCells or MixColumns), the central construction — one full
+// forward round keyed with wb ^ tweak, the pseudo-reflector, one full
+// backward round keyed with wa ^ tweak — and r backward rounds that
+// mirror the forward ones. a is XORed into the forward round keys and
+// a ^ α into the backward ones. The reflector computes
+// τ⁻¹(M(τ(x)) ^ k1) for encryption and τ⁻¹(M(τ(x) ^ k1)) for
+// decryption; both equal τ⁻¹Mτ(x) ^ rk, with rk folded in New.
+func (c *Cipher) run(x, t, wa, wb, a, rk uint64) uint64 {
+	s := c.sbox
+	kf := c.k0 ^ a
+	kb := kf ^ alpha
+	// The backward rounds reuse the forward rounds' tweaks in reverse.
+	var tweaks [MaxRounds]uint64
+
+	x = s.fwd.apply(x ^ wa ^ kf ^ t) // short round 0; c_0 = 0
+	tweak := hOmega.apply(t)
+	for i := 1; i < c.rounds; i++ {
+		x = s.fwd.apply(tm.apply(x ^ kf ^ tweak ^ roundConstants[i]))
+		tweaks[i] = tweak
+		tweak = hOmega.apply(tweak)
 	}
-	return substitute(is, &c.sbox.fwd)
-}
 
-// backward applies one inverse round: inverse S layer, then (unless
-// short) inverse MixColumns and inverse ShuffleCells, then add the
-// round tweakey.
-func (c *Cipher) backward(is, tk uint64, full bool) uint64 {
-	is = substitute(is, &c.sbox.inv)
-	if full {
-		is = mixColumns(is) // M is involutory
-		is = shuffle(is, cellPermInv[:])
+	x = s.fwd.apply(tm.apply(x ^ wb ^ tweak))
+	x = reflector.apply(x) ^ rk
+	x = mtInv.apply(s.inv.apply(x)) ^ wa ^ tweak
+
+	for i := c.rounds - 1; i > 0; i-- {
+		x = mtInv.apply(s.inv.apply(x)) ^ kb ^ tweaks[i] ^ roundConstants[i]
 	}
-	return is ^ tk
+	return s.inv.apply(x) ^ kb ^ t ^ wb // short round 0
 }
 
-// reflect is the pseudo-reflector: ShuffleCells, multiply by the
-// involutory matrix Q (= M), add the core key, inverse ShuffleCells.
-func (c *Cipher) reflect(is, k uint64) uint64 {
-	is = shuffle(is, cellPerm[:])
-	is = mixColumns(is)
-	is ^= k
-	return shuffle(is, cellPermInv[:])
+// linear is an XOR-linear map on the state tabulated by input byte:
+// the image of x is the XOR of t[j][byte j of x] over the eight bytes,
+// byte 0 being the most significant (cells 0 and 1).
+type linear [8][256]uint64
+
+// tabulate builds the table of the linear map f from its 64 basis
+// images.
+func tabulate(f func(uint64) uint64) *linear {
+	var basis [64]uint64
+	for i := range basis {
+		basis[i] = f(1 << uint(i))
+	}
+	t := new(linear)
+	for j := range t {
+		shift := 56 - 8*j
+		for b := 1; b < 256; b++ {
+			low := b & -b
+			t[j][b] = t[j][b^low] ^ basis[shift+bits.TrailingZeros(uint(low))]
+		}
+	}
+	return t
 }
 
-// reflectInv inverts reflect. The key addition sits between Q and
-// τ⁻¹, so the reflector is not an involution even though Q is.
-func (c *Cipher) reflectInv(is, k uint64) uint64 {
-	is = shuffle(is, cellPerm[:])
-	is ^= k
-	is = mixColumns(is)
-	return shuffle(is, cellPermInv[:])
+func (t *linear) apply(x uint64) uint64 {
+	return t[0][x>>56] ^ t[1][x>>48&0xFF] ^ t[2][x>>40&0xFF] ^ t[3][x>>32&0xFF] ^
+		t[4][x>>24&0xFF] ^ t[5][x>>16&0xFF] ^ t[6][x>>8&0xFF] ^ t[7][x&0xFF]
+}
+
+// The cipher's tables, built once from the cell primitives.
+var (
+	tm        = tabulate(tauM)
+	mtInv     = tabulate(mTauInv)
+	reflector = tabulate(reflectCore)
+	hOmega    = tabulate(tweakForward)
+	sboxes    = buildSboxes()
+)
+
+// tauM is a full forward round's linear layer: τ then M.
+func tauM(x uint64) uint64 { return mixColumns(shuffle(x, cellPerm[:])) }
+
+// mTauInv is a full backward round's linear layer, the inverse of
+// tauM: M then τ⁻¹.
+func mTauInv(x uint64) uint64 { return shuffle(mixColumns(x), cellPermInv[:]) }
+
+// reflectCore is the pseudo-reflector without its key: τ⁻¹Mτ.
+func reflectCore(x uint64) uint64 { return mTauInv(shuffle(x, cellPerm[:])) }
+
+// byteSbox substitutes both cells of a byte.
+type byteSbox [256]uint8
+
+func (s *byteSbox) apply(x uint64) uint64 {
+	return uint64(s[x>>56])<<56 | uint64(s[x>>48&0xFF])<<48 | uint64(s[x>>40&0xFF])<<40 |
+		uint64(s[x>>32&0xFF])<<32 | uint64(s[x>>24&0xFF])<<24 | uint64(s[x>>16&0xFF])<<16 |
+		uint64(s[x>>8&0xFF])<<8 | uint64(s[x&0xFF])
+}
+
+// sboxTable is one S-box variant and its inverse, a byte at a time.
+type sboxTable struct{ fwd, inv byteSbox }
+
+// buildSboxes tabulates every S-box variant, indexed by Sigma.
+func buildSboxes() (t [len(sigma)]sboxTable) {
+	for v, box := range sigma {
+		inv := invertSbox(box)
+		for b := range t[v].fwd {
+			t[v].fwd[b] = box[b>>4]<<4 | box[b&0xF]
+			t[v].inv[b] = inv[b>>4]<<4 | inv[b&0xF]
+		}
+	}
+	return t
 }
 
 // cell extracts 4-bit cell i (cell 0 = most significant nibble).
@@ -270,15 +300,6 @@ func mixColumns(v uint64) uint64 {
 	return out
 }
 
-// substitute applies the S-box to every cell.
-func substitute(v uint64, sb *[16]uint64) uint64 {
-	var out uint64
-	for i := 0; i < 16; i++ {
-		out = withCell(out, i, sb[cell(v, i)])
-	}
-	return out
-}
-
 // tweakForward advances the tweak by one round: permute the cells with
 // h, then clock the LFSR ω on cells {0, 1, 3, 4, 8, 11, 13}.
 func tweakForward(t uint64) uint64 {
@@ -289,25 +310,10 @@ func tweakForward(t uint64) uint64 {
 	return t
 }
 
-// tweakBackward inverts tweakForward.
-func tweakBackward(t uint64) uint64 {
-	for _, i := range lfsrCells {
-		t = withCell(t, i, lfsrInv(cell(t, i)))
-	}
-	return shuffle(t, tweakPermInv[:])
-}
-
 // lfsr is the 4-bit maximal-period LFSR ω used in the tweak schedule:
 // (b3, b2, b1, b0) -> (b0 XOR b1, b3, b2, b1).
 func lfsr(x uint64) uint64 {
 	b0 := x & 1
 	b1 := (x >> 1) & 1
 	return ((b0^b1)<<3 | x>>1) & 0xF
-}
-
-// lfsrInv inverts lfsr: (y3, y2, y1, y0) -> (y2, y1, y0, y3 XOR y0).
-func lfsrInv(x uint64) uint64 {
-	y0 := x & 1
-	y3 := (x >> 3) & 1
-	return ((x << 1) | (y3 ^ y0)) & 0xF
 }

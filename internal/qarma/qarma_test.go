@@ -1,6 +1,7 @@
 package qarma
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -115,17 +116,59 @@ func TestShuffleInverts(t *testing.T) {
 }
 
 func TestSboxesAreBijective(t *testing.T) {
-	for name, p := range sboxes {
+	for v, box := range sigma {
 		var seen [16]bool
-		for _, v := range p.fwd {
-			if seen[v] {
-				t.Errorf("sigma%d: duplicate output %d", name, v)
+		for _, y := range box {
+			if seen[y] {
+				t.Errorf("sigma%d: duplicate output %d", v, y)
 			}
-			seen[v] = true
+			seen[y] = true
 		}
-		for x := uint64(0); x < 16; x++ {
-			if p.inv[p.fwd[x]] != x {
-				t.Errorf("sigma%d: inverse mismatch at %d", name, x)
+		tab := &sboxes[v]
+		for b := 0; b < 256; b++ {
+			if tab.inv[tab.fwd[b]] != uint8(b) {
+				t.Errorf("sigma%d: byte table inverse mismatch at %#02x", v, b)
+			}
+		}
+	}
+}
+
+// TestReferenceKnownAnswers anchors the cell-at-a-time reference to
+// the published vectors, so the differential test below compares the
+// tables against the specification and not against itself.
+func TestReferenceKnownAnswers(t *testing.T) {
+	for _, ka := range publishedSigma0 {
+		ref := newRef(kaW0, kaK0, ka.rounds, Sigma0)
+		if got := ref.encrypt(kaP, kaT); got != ka.ct {
+			t.Errorf("reference r=%d: encrypt = %#016x, want %#016x", ka.rounds, got, ka.ct)
+		}
+		if back := ref.decrypt(ka.ct, kaT); back != kaP {
+			t.Errorf("reference r=%d: decrypt = %#016x, want %#016x", ka.rounds, back, kaP)
+		}
+	}
+}
+
+// TestTablesMatchReference holds the table-driven cipher to the
+// cell-at-a-time reference on random keys, blocks and tweaks over
+// every S-box and round count: Encrypt must equal the reference
+// encryption and Decrypt must invert it.
+func TestTablesMatchReference(t *testing.T) {
+	const perConfig = 4200 // x 3 S-boxes x 8 round counts = 100,800 inputs
+	rng := rand.New(rand.NewSource(1))
+	for sb := Sigma0; sb <= Sigma2; sb++ {
+		for r := 1; r <= MaxRounds; r++ {
+			for i := 0; i < perConfig; i++ {
+				w0, k0, p, tw := rng.Uint64(), rng.Uint64(), rng.Uint64(), rng.Uint64()
+				c := New(w0, k0, Config{Rounds: r, Sbox: sb})
+				want := newRef(w0, k0, r, sb).encrypt(p, tw)
+				if got := c.Encrypt(p, tw); got != want {
+					t.Fatalf("sigma%d r=%d key (%#x, %#x): Encrypt(%#x, %#x) = %#x, reference %#x",
+						sb, r, w0, k0, p, tw, got, want)
+				}
+				if got := c.Decrypt(want, tw); got != p {
+					t.Fatalf("sigma%d r=%d key (%#x, %#x): Decrypt(%#x, %#x) = %#x, want %#x",
+						sb, r, w0, k0, want, tw, got, p)
+				}
 			}
 		}
 	}
@@ -191,14 +234,34 @@ func mustPanic(t *testing.T, f func()) {
 	f()
 }
 
+var sink uint64
+
 func BenchmarkEncrypt(b *testing.B) {
 	c := New(kaW0, kaK0, Config{Rounds: 7})
 	b.ReportAllocs()
-	var sink uint64
 	for i := 0; i < b.N; i++ {
 		sink ^= c.Encrypt(kaP+uint64(i), kaT)
 	}
-	_ = sink
+}
+
+func BenchmarkDecrypt(b *testing.B) {
+	c := New(kaW0, kaK0, Config{Rounds: 7})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		sink ^= c.Decrypt(kaP+uint64(i), kaT)
+	}
+}
+
+// BenchmarkTabulate measures the one-off table build package init
+// pays: the four linear layers and the three S-box variants.
+func BenchmarkTabulate(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		tabulate(tauM)
+		tabulate(mTauInv)
+		tabulate(reflectCore)
+		tabulate(tweakForward)
+		buildSboxes()
+	}
 }
 
 func TestDefaultRoundsMatchPublishedVector(t *testing.T) {

@@ -31,9 +31,6 @@ var cellPermInv = invertPerm(cellPerm)
 // tweakPerm is the tweak cell permutation h.
 var tweakPerm = [16]int{6, 5, 14, 15, 0, 1, 2, 3, 7, 12, 13, 4, 8, 9, 10, 11}
 
-// tweakPermInv is h⁻¹.
-var tweakPermInv = invertPerm(tweakPerm)
-
 // lfsrCells are the tweak cells clocked by ω each round.
 var lfsrCells = [7]int{0, 1, 3, 4, 8, 11, 13}
 
@@ -41,25 +38,19 @@ var lfsrCells = [7]int{0, 1, 3, 4, 8, 11, 13}
 // matrix M4,2 = circ(0, ρ¹, ρ², ρ¹); -1 marks the zero entry.
 var mixExp = [4]int{-1, 1, 2, 1}
 
-// sboxPair bundles an S-box with its inverse.
-type sboxPair struct {
-	fwd [16]uint64
-	inv [16]uint64
+// sigma holds the three QARMA S-boxes, indexed by Sigma.
+var sigma = [...][16]uint8{
+	Sigma0: {0, 14, 2, 10, 9, 15, 8, 11, 6, 4, 3, 7, 13, 12, 1, 5},
+	Sigma1: {10, 13, 14, 6, 15, 7, 3, 5, 9, 8, 0, 12, 11, 1, 2, 4},
+	Sigma2: {11, 6, 8, 15, 12, 0, 9, 14, 3, 7, 4, 5, 13, 2, 1, 10},
 }
 
-// The three QARMA S-boxes.
-var sboxes = map[Sigma]*sboxPair{
-	Sigma0: newSboxPair([16]uint64{0, 14, 2, 10, 9, 15, 8, 11, 6, 4, 3, 7, 13, 12, 1, 5}),
-	Sigma1: newSboxPair([16]uint64{10, 13, 14, 6, 15, 7, 3, 5, 9, 8, 0, 12, 11, 1, 2, 4}),
-	Sigma2: newSboxPair([16]uint64{11, 6, 8, 15, 12, 0, 9, 14, 3, 7, 4, 5, 13, 2, 1, 10}),
-}
-
-func newSboxPair(fwd [16]uint64) *sboxPair {
-	p := &sboxPair{fwd: fwd}
-	for i, v := range fwd {
-		p.inv[v] = uint64(i)
+func invertSbox(s [16]uint8) [16]uint8 {
+	var inv [16]uint8
+	for i, v := range s {
+		inv[v] = uint8(i)
 	}
-	return p
+	return inv
 }
 
 func invertPerm(p [16]int) [16]int {
