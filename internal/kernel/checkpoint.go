@@ -71,6 +71,13 @@ type KillCheckpoint struct {
 // Checkpoint captures the process's full machine state. The process
 // must be between instructions (not inside Step), which every caller
 // — supervisors between run slices, the crash-matrix harness — is.
+//
+// The page data is not copied: each of the checkpoint's Pages aliases
+// the live page, so the checkpoint is valid only until the process
+// next runs or its memory is otherwise written. Every caller hands it
+// straight to the snapshot codec (snap.Encode), which reads each page
+// once; anything that keeps a checkpoint longer must encode it or copy
+// the pages first.
 func (p *Process) Checkpoint() *Checkpoint {
 	cp := &Checkpoint{
 		PID:                p.PID,

@@ -9,9 +9,10 @@
 package mem
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Perm is a page permission bit set.
@@ -364,16 +365,16 @@ type PageState struct {
 	Data []byte // exactly PageSize bytes
 }
 
-// Pages returns every mapped page sorted by address, with the data
-// deep-copied: a point-in-time snapshot of the whole address space.
+// Pages returns every mapped page sorted by address. Each Data slice
+// aliases the live page rather than copying it, so it shows the page
+// as it is now only until the memory is next written; a caller that
+// keeps it longer must copy it.
 func (m *Memory) Pages() []PageState {
 	out := make([]PageState, 0, len(m.pages))
 	for num, pg := range m.pages {
-		data := make([]byte, PageSize)
-		copy(data, pg.data[:])
-		out = append(out, PageState{Addr: num * PageSize, Perm: pg.perm, Data: data})
+		out = append(out, PageState{Addr: num * PageSize, Perm: pg.perm, Data: pg.data[:]})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr < out[j].Addr })
+	slices.SortFunc(out, func(a, b PageState) int { return cmp.Compare(a.Addr, b.Addr) })
 	return out
 }
 

@@ -19,6 +19,7 @@
 package snap
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -77,7 +78,20 @@ func Encode(cp *kernel.Checkpoint, prog *isa.Program) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	w := &writer{}
+	return encode(cp, prog.Base, progCRC), nil
+}
+
+// encode is Encode for a program whose text CRC is already known. The
+// header, payload and trailing CRC go into one buffer of the image's
+// exact size.
+func encode(cp *kernel.Checkpoint, progBase, progCRC uint64) []byte {
+	// Trailing zeros are trimmed: stacks and fresh heaps are mostly
+	// zero pages, and the decoder zero-extends back to PageSize.
+	ends := make([]int, len(cp.Pages))
+	for i, pg := range cp.Pages {
+		ends[i] = trimmedLen(pg.Data)
+	}
+	w := &writer{buf: make([]byte, headerSize, imageSize(cp, ends))}
 	w.u64(uint64(int64(cp.PID)))
 	w.u64(uint64(int64(cp.NextPID)))
 	w.u64(uint64(int64(cp.NextTID)))
@@ -90,7 +104,7 @@ func Encode(cp *kernel.Checkpoint, prog *isa.Program) ([]byte, error) {
 	w.bool(cp.Config.Tagging)
 	w.u64(uint64(int64(cp.Config.Rounds)))
 	w.u64(uint64(int64(cp.Config.Sbox)))
-	w.u64(prog.Base)
+	w.u64(progBase)
 	w.u64(progCRC)
 	w.bytes(cp.Output)
 	w.bool(cp.Exited)
@@ -126,26 +140,57 @@ func Encode(cp *kernel.Checkpoint, prog *isa.Program) ([]byte, error) {
 		}
 	}
 	w.u64(uint64(len(cp.Pages)))
-	for _, pg := range cp.Pages {
+	for i, pg := range cp.Pages {
 		w.u64(pg.Addr)
 		w.u64(uint64(pg.Perm))
-		// Trailing zeros are trimmed: stacks and fresh heaps are mostly
-		// zero pages, and the decoder zero-extends back to PageSize.
-		data := pg.Data
-		for len(data) > 0 && data[len(data)-1] == 0 {
-			data = data[:len(data)-1]
-		}
-		w.bytes(data)
+		w.bytes(pg.Data[:ends[i]])
 	}
 
-	payload := w.buf
-	img := make([]byte, 0, headerSize+len(payload)+crcSize)
-	img = append(img, imageMagic...)
-	img = appendU32(img, imageVersion)
-	img = appendU64(img, uint64(len(payload)))
-	img = append(img, payload...)
-	img = appendU64(img, crc64.Checksum(img, crcTable))
-	return img, nil
+	img := w.buf
+	copy(img, imageMagic)
+	putU32(img[4:], imageVersion)
+	putU64(img[8:], uint64(len(img)-headerSize))
+	return appendU64(img, crc64.Checksum(img, crcTable))
+}
+
+// imageSize is the exact size of encode's image of cp, whose pages
+// trim to the lengths in ends. It follows encode field by field.
+func imageSize(cp *kernel.Checkpoint, ends []int) int {
+	n := headerSize + crcSize
+	n += 3*8 + 2*8*len(cp.Keys) + 8             // ids, keys, key fingerprint
+	n += 8 + 1 + 8 + 8 + 8 + 8                  // PA config, program binding
+	n += 8 + len(cp.Output) + 1 + 8 + 1 + 1 + 1 // output, exit, sigreturn and kill flags
+	if k := cp.Kill; k != nil {
+		n += 8 + 8 + 8 + len(k.Symbol) + 8 + len(k.Cause)
+	}
+	n += 8
+	for _, t := range cp.Tasks {
+		n += 8 + 8*len(t.M.Regs) + 8 + 4 + 8 + 8 + 1 + 8 + 1 + 8 + 8*len(t.SigRefs)
+	}
+	n += 8
+	for _, e := range ends {
+		n += 8 + 8 + 8 + e
+	}
+	return n
+}
+
+// zeroBlock is what trimmedLen compares data against, a block at a
+// time, before it narrows to words and then bytes.
+var zeroBlock [256]byte
+
+// trimmedLen returns the length of b without its trailing zero bytes.
+func trimmedLen(b []byte) int {
+	n := len(b)
+	for n >= len(zeroBlock) && bytes.Equal(b[n-len(zeroBlock):n], zeroBlock[:]) {
+		n -= len(zeroBlock)
+	}
+	for n >= 8 && readU64(b[n-8:n]) == 0 {
+		n -= 8
+	}
+	for n > 0 && b[n-1] == 0 {
+		n--
+	}
+	return n
 }
 
 // Decode parses and verifies an image. It never panics on arbitrary
@@ -364,13 +409,19 @@ func (r *reader) bytes(limit int) []byte {
 	return out
 }
 
-func appendU32(b []byte, v uint32) []byte {
-	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-
 func appendU64(b []byte, v uint64) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
+}
+
+func putU32(b []byte, v uint32) {
+	_ = b[3]
+	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
+}
+
+func putU64(b []byte, v uint64) {
+	putU32(b, uint32(v))
+	putU32(b[4:], uint32(v>>32))
 }
 
 func readU32(b []byte) uint32 {

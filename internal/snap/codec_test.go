@@ -156,6 +156,36 @@ func TestEncodeTrimsTrailingZeros(t *testing.T) {
 	}
 }
 
+// TestEncodeSizesImageOnce checks that encode allocates the image once
+// at its exact final size, on checkpoints that exercise every
+// variable-length field.
+func TestEncodeSizesImageOnce(t *testing.T) {
+	p, img := bootVictim(t, 7, 500)
+	progCRC, err := ProgramCRC(img.Prog)
+	if err != nil {
+		t.Fatalf("program crc: %v", err)
+	}
+	plain := p.Checkpoint()
+	killed := *plain
+	killed.Kill = &kernel.KillCheckpoint{TaskID: 1, PC: 0x1234, Symbol: "leaf", Cause: "auth: PAC mismatch"}
+	killed.Output = []byte("<wih")
+	killed.Tasks = append([]kernel.TaskCheckpoint(nil), plain.Tasks...)
+	killed.Tasks[0].SigRefs = []uint64{1, 2, 3}
+	for name, cp := range map[string]*kernel.Checkpoint{"plain": plain, "killed": &killed} {
+		enc := encode(cp, img.Prog.Base, progCRC)
+		if len(enc) != cap(enc) {
+			t.Errorf("%s: image length %d, capacity %d: not sized exactly", name, len(enc), cap(enc))
+		}
+		if _, _, err := Decode(enc); err != nil {
+			t.Errorf("%s: decode: %v", name, err)
+		}
+		// One allocation for the trimmed page lengths, one for the image.
+		if n := testing.AllocsPerRun(10, func() { encode(cp, img.Prog.Base, progCRC) }); n > 2 {
+			t.Errorf("%s: encode made %.0f allocations, want at most 2", name, n)
+		}
+	}
+}
+
 func TestRestoreReplaysIdentically(t *testing.T) {
 	p, img := bootVictim(t, 11, 400)
 	enc, err := Encode(p.Checkpoint(), img.Prog)

@@ -18,6 +18,7 @@ import (
 	"sync"
 
 	"pacstack/internal/compile"
+	"pacstack/internal/isa"
 	"pacstack/internal/kernel"
 	"pacstack/internal/telemetry"
 )
@@ -123,6 +124,11 @@ type Store struct {
 	fs     FS
 	seq    uint64
 	inited bool
+	// prog and progCRC remember ProgramCRC of the last program this
+	// store committed or restored. The pointer identifies the text:
+	// nothing writes a program's instructions after assembly.
+	prog    *isa.Program
+	progCRC uint64
 
 	// Tel, when non-nil, counts commits, bytes, and recovery anomalies
 	// into shared registry handles. Set it before traffic; all fields
@@ -263,11 +269,26 @@ func (s *Store) commitErr(err error) error {
 
 // CommitProcess checkpoints a live process and commits it.
 func (s *Store) CommitProcess(p *kernel.Process) (uint64, error) {
-	img, err := Encode(p.Checkpoint(), p.Prog)
+	progCRC, err := s.programCRC(p.Prog)
 	if err != nil {
 		return 0, err
 	}
-	return s.Commit(img)
+	return s.Commit(encode(p.Checkpoint(), p.Prog.Base, progCRC))
+}
+
+// programCRC returns ProgramCRC(prog), computing it only when prog is
+// not the program the store saw last.
+func (s *Store) programCRC(prog *isa.Program) (uint64, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if prog != s.prog {
+		crc, err := ProgramCRC(prog)
+		if err != nil {
+			return 0, err
+		}
+		s.prog, s.progCRC = prog, crc
+	}
+	return s.progCRC, nil
 }
 
 // Class is the recovery classification of one snapshot file.
@@ -505,7 +526,7 @@ func RestoreProcess(st *Store, img *compile.Image, k *kernel.Kernel) (*kernel.Pr
 	if err != nil {
 		return nil, rep, err
 	}
-	progCRC, err := ProgramCRC(img.Prog)
+	progCRC, err := st.programCRC(img.Prog)
 	if err != nil {
 		return nil, rep, err
 	}
