@@ -2,6 +2,7 @@ package qarma
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -224,11 +225,13 @@ func TestNewPanicsOnBadArgs(t *testing.T) {
 	mustPanic(t, func() { NewFromBytes(make([]byte, 3), Config{}) })
 }
 
+// mustPanic checks that f panics with the package's own message, not
+// with a runtime error from an index it failed to check.
 func mustPanic(t *testing.T, f func()) {
 	t.Helper()
 	defer func() {
-		if recover() == nil {
-			t.Error("expected panic")
+		if msg, ok := recover().(string); !ok || !strings.HasPrefix(msg, "qarma: ") {
+			t.Errorf("panic %q, want an explicit qarma: panic", msg)
 		}
 	}()
 	f()
