@@ -20,6 +20,7 @@ package snap
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc64"
@@ -148,8 +149,8 @@ func encode(cp *kernel.Checkpoint, progBase, progCRC uint64) []byte {
 
 	img := w.buf
 	copy(img, imageMagic)
-	putU32(img[4:], imageVersion)
-	putU64(img[8:], uint64(len(img)-headerSize))
+	binary.LittleEndian.PutUint32(img[4:], imageVersion)
+	binary.LittleEndian.PutUint64(img[8:], uint64(len(img)-headerSize))
 	return appendU64(img, crc64.Checksum(img, crcTable))
 }
 
@@ -412,16 +413,6 @@ func (r *reader) bytes(limit int) []byte {
 func appendU64(b []byte, v uint64) []byte {
 	return append(b, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
 		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-
-func putU32(b []byte, v uint32) {
-	_ = b[3]
-	b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-}
-
-func putU64(b []byte, v uint64) {
-	putU32(b, uint32(v))
-	putU32(b[4:], uint32(v>>32))
 }
 
 func readU32(b []byte) uint32 {
