@@ -230,8 +230,9 @@ func TestNewPanicsOnBadArgs(t *testing.T) {
 func mustPanic(t *testing.T, f func()) {
 	t.Helper()
 	defer func() {
-		if msg, ok := recover().(string); !ok || !strings.HasPrefix(msg, "qarma: ") {
-			t.Errorf("panic %q, want an explicit qarma: panic", msg)
+		r := recover()
+		if msg, ok := r.(string); !ok || !strings.HasPrefix(msg, "qarma: ") {
+			t.Errorf("recovered %v, want a panic with a qarma: message", r)
 		}
 	}()
 	f()
