@@ -26,12 +26,12 @@
 #                          expected here: the simulator's cold boot is
 #                          already in-memory, so the wall-clock pair
 #                          mostly measures pool bookkeeping overhead.
-#   warm_rpvs_speedup_closed / warm_rpvs_speedup_traffic
-#                          the virtual-time goodput ratios from the
-#                          pacstack-soak -warm-gate run, where machine
-#                          acquisition is charged at the modeled
-#                          cold-boot vs snapshot-restore cost — the
-#                          architectural fork-server numbers
+#
+# The architectural fork-server numbers — warm vs cold requests per
+# virtual second with machine acquisition charged at the modeled
+# cold-boot vs snapshot-restore cost — are seed-determined ratios of
+# modeled costs, not measurements; TestWarmPoolBeatsColdBoot
+# (internal/serve) asserts their floors and logs them.
 #
 # Compare against the previous BENCH_*.json before and after touching
 # the interpreter, the PA model, the telemetry hooks, or the
@@ -63,9 +63,6 @@ out="$out
 $(go test -run=NONE -bench='^BenchmarkServe(Cold|Warm)RPS$' -benchtime=30x .)"
 printf '%s\n' "$out"
 
-gate=$(go run ./cmd/pacstack-soak -warm-gate -clients 6 -requests 12 -seed 7 -chaos-rate 0.1 -heal 1 2>&1)
-printf '%s\n' "$gate"
-
 # Benchmark names carry a -GOMAXPROCS suffix (BenchmarkEngine-8), so
 # anchor the plain-engine match on that dash to keep the Telemetry
 # variant out of it.
@@ -74,9 +71,7 @@ tmips=$(printf '%s\n' "$out" | awk '$1 ~ /^BenchmarkEngineTelemetry/ {for (i = 1
 t2ns=$(printf '%s\n' "$out" | awk '$1 ~ /^BenchmarkTable2/ {for (i = 1; i < NF; i++) if ($(i + 1) == "ns/op") v = $i} END {print v}')
 crps=$(printf '%s\n' "$out" | awk '$1 ~ /^BenchmarkServeColdRPS/ {for (i = 1; i < NF; i++) if ($(i + 1) == "req/s") v = $i} END {print v}')
 wrps=$(printf '%s\n' "$out" | awk '$1 ~ /^BenchmarkServeWarmRPS/ {for (i = 1; i < NF; i++) if ($(i + 1) == "req/s") v = $i} END {print v}')
-closedx=$(printf '%s\n' "$gate" | sed -n 's/^closed loop:.*(\([0-9.]*\)x)$/\1/p')
-trafficx=$(printf '%s\n' "$gate" | sed -n 's/^fork-server traffic:.*(\([0-9.]*\)x)$/\1/p')
-[ -n "$mips" ] && [ -n "$tmips" ] && [ -n "$t2ns" ] && [ -n "$crps" ] && [ -n "$wrps" ] && [ -n "$closedx" ] && [ -n "$trafficx" ] || { echo "bench.sh: could not parse benchmark output" >&2; exit 1; }
+[ -n "$mips" ] && [ -n "$tmips" ] && [ -n "$t2ns" ] && [ -n "$crps" ] && [ -n "$wrps" ] || { echo "bench.sh: could not parse benchmark output" >&2; exit 1; }
 t2s=$(awk "BEGIN {printf \"%.3f\", $t2ns / 1e9}")
 overhead=$(awk "BEGIN {printf \"%.4f\", 1 - $tmips / $mips}")
 commit=$(git rev-parse --short HEAD 2>/dev/null || echo unknown)
@@ -91,9 +86,7 @@ cat > "BENCH_${n}.json" <<JSON
   "table2_wall_seconds": ${t2s},
   "serve_cold_rps": ${crps},
   "serve_warm_rps": ${wrps},
-  "warm_rpvs_speedup_closed": ${closedx},
-  "warm_rpvs_speedup_traffic": ${trafficx},
   "note": "${note}"
 }
 JSON
-echo "wrote BENCH_${n}.json (engine ${mips} MIPS nop / ${tmips} MIPS telemetry, overhead ${overhead}, Table 2 in ${t2s}s, serve ${crps}/${wrps} req/s cold/warm, warm rpvs ${closedx}x closed ${trafficx}x traffic)"
+echo "wrote BENCH_${n}.json (engine ${mips} MIPS nop / ${tmips} MIPS telemetry, overhead ${overhead}, Table 2 in ${t2s}s, serve ${crps}/${wrps} req/s cold/warm)"

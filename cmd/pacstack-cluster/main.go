@@ -38,12 +38,6 @@
 // report gains the per-class SLO evaluation (-slo-report writes it as
 // JSON) and stays byte-identical across -par widths.
 //
-// With -mesh-gate, it runs the canned gray-backend burst twice —
-// naive, then resilient — and exits non-zero unless the naive run
-// demonstrably blows at least one class SLO, the resilient run holds
-// every class through the same faults, and the secondaries the
-// resilient run spent stayed inside the configured retry budget.
-//
 // With -daemon, it serves the live fleet over HTTP instead:
 //
 //	POST /v1/run         route one workload through the cluster
@@ -123,7 +117,6 @@ func main() {
 	brownout := flag.Bool("brownout", false, "shed low-priority classes under overload (traffic mode)")
 	verticalMax := flag.Int("vertical-max", 0, "vertically scale per-backend cores up to this cap (traffic mode; 0: off)")
 	resilient := flag.Bool("resilient", false, "enable the full chaos-mesh defense: hedging, retry budget, outlier ejection, brownout")
-	meshGate := flag.Bool("mesh-gate", false, "run the canned gray-backend burst naive vs resilient and grade the pair")
 	sloReport := flag.String("slo-report", "", "write the per-class SLO evaluation as JSON to this path (traffic mode)")
 
 	daemon := flag.Bool("daemon", false, "serve the live fleet over HTTP instead of running the soak")
@@ -175,10 +168,6 @@ func main() {
 		defer restore()
 	}
 
-	if *meshGate {
-		os.Exit(runMeshGate(*seed, *asJSON))
-	}
-
 	cfg := cluster.SoakConfig{
 		Backends:         *backends,
 		Clients:          *clients,
@@ -227,9 +216,7 @@ func main() {
 		cfg.Outlier = gate.Outlier
 		cfg.Brownout = gate.Brownout
 	}
-	if *hedge && cfg.Hedge == nil {
-		cfg.Hedge = &cluster.HedgeConfig{}
-	}
+	cfg.Hedge = cfg.Hedge || *hedge
 	if *outlier && cfg.Outlier == nil {
 		cfg.Outlier = &cluster.OutlierConfig{}
 	}
@@ -365,92 +352,6 @@ func loadMesh(file string, gray int) (*mesh.Config, error) {
 		return nil, nil
 	}
 	return &cfg, nil
-}
-
-// runMeshGate runs the canned gray-backend burst scenario twice —
-// naive, then with the full chaos-mesh defense — and grades the pair.
-// The robustness criterion: the naive fleet must demonstrably blow at
-// least one class SLO under the gray link and the burst, the resilient
-// fleet must hold every class through the same faults with zero hedge
-// key-sharing violations, and the secondaries it spent (hedges +
-// retries) must stay inside the configured retry budget. A gray link
-// too weak to hurt the naive fleet proves nothing, so that also fails
-// the gate. Returns the process exit code.
-func runMeshGate(seed int64, asJSON bool) int {
-	run := func(resilient bool) *cluster.ClusterReport {
-		rep, err := cluster.Soak(context.Background(), cluster.MeshGateConfig(seed, resilient))
-		if err != nil {
-			log.Fatal(err)
-		}
-		return rep
-	}
-	naive := run(false)
-	res := run(true)
-
-	if asJSON {
-		out, err := json.MarshalIndent(map[string]*traffic.SLOReport{
-			"naive": naive.SLO, "resilient": res.SLO,
-		}, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(out))
-	} else {
-		fmt.Print(harness.ClusterSoak(naive))
-		fmt.Println()
-		fmt.Print(harness.ClusterSoak(res))
-		fmt.Println()
-	}
-
-	code := 0
-	bad := func(format string, args ...any) {
-		log.Printf("MESH GATE FAILED: "+format, args...)
-		code = 1
-	}
-	if !naive.Graceful() || !res.Graceful() {
-		bad("a run was not graceful (naive %v, resilient %v)", naive.Graceful(), res.Graceful())
-	}
-	if naive.SLO == nil || res.SLO == nil {
-		bad("missing SLO report")
-		return 1
-	}
-	if naive.SLO.Pass {
-		bad("the naive fleet survived the gray backend — the scenario exercises nothing")
-	}
-	if !res.SLO.Pass {
-		var failed []string
-		for _, c := range res.SLO.Classes {
-			if !c.Pass {
-				failed = append(failed, fmt.Sprintf("%s (%s)", c.Class, strings.Join(c.Violations, "; ")))
-			}
-		}
-		bad("resilient fleet out of SLO: %s", strings.Join(failed, ", "))
-	}
-	if err := res.Check(); err != nil {
-		bad("resilient acceptance: %v", err)
-	}
-	if res.Hedges == 0 {
-		bad("the resilient fleet never hedged — the pass is not its doing")
-	}
-	if res.HedgeKeyViolations > 0 {
-		bad("%d hedged pair(s) shared PA keys", res.HedgeKeyViolations)
-	}
-	if res.Budget == nil {
-		bad("resilient run carried no retry budget")
-	} else if res.Budget.Granted > res.BudgetBound {
-		bad("retry amplification %d secondaries exceeds the budget bound %d", res.Budget.Granted, res.BudgetBound)
-	}
-	if code == 0 {
-		var naiveFailed []string
-		for _, c := range naive.SLO.Classes {
-			if !c.Pass {
-				naiveFailed = append(naiveFailed, c.Class)
-			}
-		}
-		log.Printf("mesh gate OK: naive fleet violates SLO for %s behind the gray link; resilient fleet (hedges %d won %d, browned %d, ejections %d, secondaries %d <= bound %d) holds every class",
-			strings.Join(naiveFailed, ","), res.Hedges, res.HedgeWins, res.BrownedOut, res.Ejections, res.Budget.Granted, res.BudgetBound)
-	}
-	return code
 }
 
 // runDaemon serves the live fleet until SIGTERM/SIGINT, then drains

@@ -12,10 +12,11 @@
 // uninterrupted run.
 //
 // The report is a pure function of the flags: run it twice and the
-// output is byte-identical, which is how check.sh gates on it. The
-// -json report embeds the campaign's telemetry dump (store commits,
-// recoveries, anomaly tallies by kind) under a pinned clock, so the
-// same double-run cmp also proves the telemetry deterministic.
+// output is byte-identical. The -json report embeds the campaign's
+// telemetry dump (store commits, recoveries, anomaly tallies by kind)
+// under a pinned clock, and TestCrashMatrixGolden (root package) pins
+// the default campaign's -json bytes, telemetry included, against
+// testdata/crash-matrix.json.
 //
 // Usage:
 //

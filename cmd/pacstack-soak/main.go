@@ -19,8 +19,8 @@
 //	              [-burst-factor F] [-cores N]
 //	              [-adaptive] [-adaptive-max N] [-adaptive-step N]
 //	              [-adaptive-interval N] [-adaptive-target N]
-//	              [-boot-model cold|warm] [-warm-gate]
-//	              [-slo-report PATH] [-traffic-gate] [-par N]
+//	              [-boot-model cold|warm]
+//	              [-slo-report PATH] [-par N]
 //	              [-json] [-check] [-telemetry-dump PATH]
 //	              [-cpuprofile FILE] [-memprofile FILE]
 //
@@ -32,26 +32,12 @@
 // limit in virtual time. -clients/-requests/-workload are ignored in
 // this mode; the model decides arrivals and workloads.
 //
-// With -traffic-gate, the canned burst scenario (traffic.BurstScenario)
-// runs twice with the other flags' parameters — once static, once
-// adaptive — and the exit status is non-zero unless the adaptive run
-// holds every class SLO where the static run demonstrably fails. This
-// is the check.sh overload-control criterion.
-//
 // With -boot-model, machine acquisition is charged in virtual time:
 // "cold" prices every execution at the modeled full-boot cost, "warm"
 // serves from the snapshot-fork pools (internal/pool) and prices the
 // restore. The report gains a requests/virtual-second line either way.
 // Outcomes are identical across models (warm restores replay the cold
 // entropy stream), so the ratio isolates acquisition cost.
-//
-// With -warm-gate, the warm-pool acceptance gate runs: the closed-loop
-// soak twice (cold model, then warm) with breakers and shedding
-// disabled — outcomes must be identical and warm throughput at least
-// 10x cold — then the boot-dominated open-loop fork-server scenario
-// twice, where warm must clear 20x cold requests/virtual-second. Zero
-// §4.3 key violations are required throughout. Non-zero exit on any
-// miss.
 //
 // With -check, the exit status enforces the robustness acceptance
 // criteria: non-zero if any silent corruption was recorded or the run
@@ -119,9 +105,7 @@ func main() {
 	adaptiveInterval := flag.Uint64("adaptive-interval", 0, "AIMD control-window length in virtual cycles (0: 10000)")
 	adaptiveTarget := flag.Uint64("adaptive-target", 0, "AIMD service-dilation congestion target in cycles (0: 1048576)")
 	bootModel := flag.String("boot-model", "", "machine-acquisition cost model: cold or warm (empty: acquisition-free legacy model)")
-	warmGate := flag.Bool("warm-gate", false, "run the warm-vs-cold acceptance gate; exit non-zero unless warm clears the throughput floors with identical outcomes and zero key violations")
 	sloReport := flag.String("slo-report", "", "write the SLO report as JSON to this path (traffic mode)")
-	trafficGate := flag.Bool("traffic-gate", false, "run the canned burst scenario static then adaptive; exit non-zero unless adaptive holds every SLO where static fails")
 	parWidth := flag.Int("par", 0, "precompute worker-pool width (0: GOMAXPROCS); the report must not depend on it")
 	asJSON := flag.Bool("json", false, "emit the report as JSON instead of the table")
 	check := flag.Bool("check", false, "exit non-zero on silent corruption or a non-graceful run")
@@ -165,16 +149,7 @@ func main() {
 		log.Fatal(err)
 	}
 
-	var aimd *resilience.AIMDConfig
-	if *adaptive || *trafficGate {
-		aimd = &resilience.AIMDConfig{
-			Max:           *adaptiveMax,
-			Step:          *adaptiveStep,
-			Interval:      *adaptiveInterval,
-			LatencyTarget: *adaptiveTarget,
-		}
-	}
-	baseCfg := serve.SoakConfig{
+	cfg := serve.SoakConfig{
 		Clients:          *clients,
 		Requests:         *requests,
 		Workload:         *workload,
@@ -191,13 +166,6 @@ func main() {
 		BreakerThreshold: *brThreshold,
 		Cores:            *cores,
 		BootModel:        *bootModel,
-	}
-
-	if *trafficGate {
-		os.Exit(runTrafficGate(baseCfg, aimd, *asJSON))
-	}
-	if *warmGate {
-		os.Exit(runWarmGate(baseCfg, *asJSON))
 	}
 
 	if *trafficMode != "" {
@@ -232,9 +200,14 @@ func main() {
 				model.Bursts[i].Factor = *burstFactor
 			}
 		}
-		baseCfg.Traffic = &model
+		cfg.Traffic = &model
 		if *adaptive {
-			baseCfg.Adaptive = aimd
+			cfg.Adaptive = &resilience.AIMDConfig{
+				Max:           *adaptiveMax,
+				Step:          *adaptiveStep,
+				Interval:      *adaptiveInterval,
+				LatencyTarget: *adaptiveTarget,
+			}
 		}
 	}
 
@@ -242,8 +215,8 @@ func main() {
 	if *telemetryDump != "" {
 		tel = telemetry.New(telemetry.Options{})
 	}
-	baseCfg.Telemetry = tel
-	rep, err := serve.Soak(context.Background(), baseCfg)
+	cfg.Telemetry = tel
+	rep, err := serve.Soak(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -307,200 +280,4 @@ func main() {
 				rep.InFlightAtEnd, rep.Issued-(rep.OK+rep.Detected+rep.Silent+rep.GaveUp))
 		}
 	}
-}
-
-// runWarmGate grades the warm-pool subsystem against the cold-boot
-// baseline at one seed. Two comparisons:
-//
-//   - Closed loop, breakers and shedding disabled (retry dynamics
-//     silenced so the DES terminals are a pure function of the
-//     precomputed outcomes): the cold-model and warm-model runs must
-//     agree EXACTLY on every outcome count — the draw-parity property,
-//     measured end to end — with zero silent corruptions, and the warm
-//     run must deliver at least 10x the cold requests/virtual-second.
-//   - The boot-dominated open-loop scenario (traffic.ForkServerScenario):
-//     short interactive requests offered far beyond cold capacity, where
-//     warm must clear 20x cold goodput. Outcome equality is NOT asserted
-//     here — under overload the two cost models legitimately shed
-//     different arrivals.
-//
-// Both warm runs must finish with zero §4.3 image-key violations
-// and must actually have exercised the pool (restores > 0). Returns
-// the process exit code.
-func runWarmGate(base serve.SoakConfig, asJSON bool) int {
-	run := func(cfg serve.SoakConfig) *serve.SoakReport {
-		rep, err := serve.Soak(context.Background(), cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return rep
-	}
-
-	closed := base
-	closed.Traffic = nil
-	closed.Adaptive = nil
-	closed.BreakerThreshold = -1
-	closed.Retries = -1 // nothing to retry once shedding is off; keep it inert
-	if closed.Clients <= 0 {
-		closed.Clients = 8
-	}
-	if closed.Queue < closed.Clients {
-		closed.Queue = closed.Clients // at most Clients outstanding: never shed
-	}
-	coldCfg, warmCfg := closed, closed
-	coldCfg.BootModel = "cold"
-	warmCfg.BootModel = "warm"
-	cold := run(coldCfg)
-	warm := run(warmCfg)
-
-	tColdCfg, tWarmCfg := base, base
-	tColdCfg.Adaptive, tWarmCfg.Adaptive = nil, nil
-	coldModel := traffic.ForkServerScenario(base.Seed)
-	warmModel := traffic.ForkServerScenario(base.Seed)
-	tColdCfg.Traffic, tColdCfg.BootModel = &coldModel, "cold"
-	tWarmCfg.Traffic, tWarmCfg.BootModel = &warmModel, "warm"
-	tCold := run(tColdCfg)
-	tWarm := run(tWarmCfg)
-
-	ratio := func(w, c uint64) float64 {
-		if c == 0 {
-			return 0
-		}
-		return float64(w) / float64(c)
-	}
-	closedRatio := ratio(warm.RPVSMilli, cold.RPVSMilli)
-	trafficRatio := ratio(tWarm.RPVSMilli, tCold.RPVSMilli)
-
-	if asJSON {
-		out, err := json.MarshalIndent(map[string]*serve.SoakReport{
-			"closed_cold": cold, "closed_warm": warm,
-			"traffic_cold": tCold, "traffic_warm": tWarm,
-		}, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(out))
-	} else {
-		fmt.Printf("closed loop: cold %d.%03d rpvs, warm %d.%03d rpvs (%.1fx)\n",
-			cold.RPVSMilli/1000, cold.RPVSMilli%1000, warm.RPVSMilli/1000, warm.RPVSMilli%1000, closedRatio)
-		fmt.Printf("fork-server traffic: cold %d.%03d rpvs, warm %d.%03d rpvs (%.1fx)\n",
-			tCold.RPVSMilli/1000, tCold.RPVSMilli%1000, tWarm.RPVSMilli/1000, tWarm.RPVSMilli%1000, trafficRatio)
-	}
-
-	code := 0
-	bad := func(format string, args ...any) {
-		log.Printf("WARM GATE FAILED: "+format, args...)
-		code = 1
-	}
-	if !cold.Graceful() || !warm.Graceful() || !tCold.Graceful() || !tWarm.Graceful() {
-		bad("a run was not graceful (closed cold %v warm %v, traffic cold %v warm %v)",
-			cold.Graceful(), warm.Graceful(), tCold.Graceful(), tWarm.Graceful())
-	}
-	if cold.OK != warm.OK || cold.Detected != warm.Detected || cold.Silent != warm.Silent ||
-		cold.GaveUp != warm.GaveUp || cold.Injected != warm.Injected {
-		bad("closed-loop outcomes diverged across boot models: cold ok/detected/silent/gave-up/injected %d/%d/%d/%d/%d, warm %d/%d/%d/%d/%d",
-			cold.OK, cold.Detected, cold.Silent, cold.GaveUp, cold.Injected,
-			warm.OK, warm.Detected, warm.Silent, warm.GaveUp, warm.Injected)
-	}
-	if warm.Silent != 0 {
-		bad("%d silent corruption(s) under the warm pool", warm.Silent)
-	}
-	if warm.PoolKeyViolations != 0 || tWarm.PoolKeyViolations != 0 {
-		bad("image-key violations: closed %d, traffic %d — a restore kept the snapshot's PA keys",
-			warm.PoolKeyViolations, tWarm.PoolKeyViolations)
-	}
-	if warm.PoolRestores == 0 || tWarm.PoolRestores == 0 {
-		bad("a warm run served no pool restores (closed %d, traffic %d) — the pool was not exercised",
-			warm.PoolRestores, tWarm.PoolRestores)
-	}
-	if closedRatio < 10 {
-		bad("closed-loop warm/cold throughput %.2fx, need >= 10x", closedRatio)
-	}
-	if trafficRatio < 20 {
-		bad("fork-server traffic warm/cold throughput %.2fx, need >= 20x", trafficRatio)
-	}
-	if code == 0 {
-		log.Printf("warm gate OK: identical closed-loop outcomes, %.1fx closed-loop and %.1fx open-loop goodput, %d+%d restores, zero key violations",
-			closedRatio, trafficRatio, warm.PoolRestores, tWarm.PoolRestores)
-	}
-	return code
-}
-
-// runTrafficGate runs the canned burst scenario (traffic.BurstScenario
-// with the flags' seed and capacity parameters) twice — static
-// admission, then adaptive — and grades the pair. The overload-control
-// criterion: the static run must demonstrably fail at least one class
-// SLO under the burst, and the adaptive run must pass every one; a
-// burst too weak to hurt the static policy proves nothing, so it also
-// fails the gate. Returns the process exit code.
-func runTrafficGate(base serve.SoakConfig, aimd *resilience.AIMDConfig, asJSON bool) int {
-	run := func(adaptive bool) *serve.SoakReport {
-		cfg := base
-		model := traffic.BurstScenario(base.Seed)
-		cfg.Traffic = &model
-		if adaptive {
-			cfg.Adaptive = aimd
-		}
-		rep, err := serve.Soak(context.Background(), cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
-		return rep
-	}
-	static := run(false)
-	adapt := run(true)
-
-	if asJSON {
-		out, err := json.MarshalIndent(map[string]*traffic.SLOReport{
-			"static": static.SLO, "adaptive": adapt.SLO,
-		}, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(out))
-	} else {
-		fmt.Print(harness.Soak(static))
-		fmt.Println()
-		fmt.Print(harness.Soak(adapt))
-		fmt.Println()
-	}
-
-	code := 0
-	bad := func(format string, args ...any) {
-		log.Printf("TRAFFIC GATE FAILED: "+format, args...)
-		code = 1
-	}
-	if !static.Graceful() || !adapt.Graceful() {
-		bad("a run was not graceful (static %v, adaptive %v)", static.Graceful(), adapt.Graceful())
-	}
-	if static.SLO == nil || adapt.SLO == nil {
-		bad("missing SLO report")
-		return 1
-	}
-	if static.SLO.Pass {
-		bad("static admission survived the burst — the scenario exercises nothing")
-	}
-	if !adapt.SLO.Pass {
-		var failed []string
-		for _, c := range adapt.SLO.Classes {
-			if !c.Pass {
-				failed = append(failed, fmt.Sprintf("%s (%s)", c.Class, strings.Join(c.Violations, "; ")))
-			}
-		}
-		bad("adaptive admission out of SLO: %s", strings.Join(failed, ", "))
-	}
-	if st := adapt.SLO.Controller; st == nil || st.LimitMax <= base.Workers {
-		bad("adaptive controller never grew the pool — the pass is not its doing")
-	}
-	if code == 0 {
-		var staticFailed []string
-		for _, c := range static.SLO.Classes {
-			if !c.Pass {
-				staticFailed = append(staticFailed, c.Class)
-			}
-		}
-		log.Printf("traffic gate OK: static admission violates SLO for %s under the 10x burst; adaptive (limit %d -> %d) holds every class",
-			strings.Join(staticFailed, ","), base.Workers, adapt.SLO.Controller.LimitMax)
-	}
-	return code
 }

@@ -72,7 +72,7 @@ func TestMigrateMachinesReseedsKeys(t *testing.T) {
 func killSoakConfig(tel *telemetry.Set) SoakConfig {
 	return SoakConfig{
 		Backends: 3, Clients: 6, Requests: 10, Seed: 11,
-		ChaosRate: 0.1, Heal: 1, KillAt: 40_000, KillBackend: -1,
+		ChaosRate: 0.1, Heal: 1, Kills: []KillSpec{{At: 40_000, Backend: -1}},
 		Telemetry: tel,
 	}
 }

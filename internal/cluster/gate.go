@@ -38,7 +38,7 @@ func MeshGateConfig(seed int64, resilient bool) SoakConfig {
 		Mesh:      &mesh.Config{Links: map[int]mesh.LinkConfig{0: mesh.Gray()}},
 	}
 	if resilient {
-		cfg.Hedge = &HedgeConfig{}
+		cfg.Hedge = true
 		// Secondaries (hedges + retries) capped at 30% of primaries
 		// plus a 30-token burst — generous enough for the hedge rate a
 		// single gray backend induces, tight enough that a retry storm

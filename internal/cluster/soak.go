@@ -67,30 +67,13 @@ type SoakConfig struct {
 
 	// Retries is the per-request client budget for rejections (sheds,
 	// breaker denials); execution outcomes are terminal. Default 3.
-	// BackoffBase/BackoffCap shape retry delays (defaults 2_000 /
-	// 64_000 cycles).
-	Retries     int
-	BackoffBase uint64
-	BackoffCap  uint64
+	Retries int
 
 	// BreakerThreshold/BreakerCooldown configure each backend's breaker
 	// (defaults 8 / 50_000 cycles); Threshold < 0 disables them (the
 	// router then sees every backend as closed).
 	BreakerThreshold int
 	BreakerCooldown  uint64
-
-	// Think is the mean inter-request think time per client; Overhead
-	// is fixed per-execution service latency. Defaults 1_000 and 500.
-	Think    uint64
-	Overhead uint64
-
-	// KillAt, when non-zero, kills one backend at that virtual instant:
-	// the kill-a-backend-mid-soak scenario. KillBackend names the
-	// victim; any negative value draws it from the seed (0 means
-	// backend 0). For cascading multi-kill scenarios use Kills; a
-	// non-zero KillAt is folded in as one more entry.
-	KillAt      uint64
-	KillBackend int
 
 	// Kills schedules any number of backend deaths at distinct virtual
 	// instants — the cascading-failure scenario. Each absorbed kill
@@ -128,13 +111,8 @@ type SoakConfig struct {
 	// backends (traffic mode only).
 	Mesh *mesh.Config
 
-	// DropTimeout is how long (virtual cycles) the sender waits on a
-	// mesh-dropped message before declaring the attempt lost. Default
-	// 64_000.
-	DropTimeout uint64
-
 	// Hedge enables hedged requests (traffic mode only).
-	Hedge *HedgeConfig
+	Hedge bool
 
 	// RetryBudget caps cluster-wide secondaries (retries + hedges) as
 	// a fraction of primaries (traffic mode only).
@@ -188,32 +166,17 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	if c.Retries < 0 {
 		c.Retries = 0
 	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = 2_000
-	}
-	if c.BackoffCap == 0 {
-		c.BackoffCap = 64_000
-	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 8
 	}
 	if c.BreakerCooldown == 0 {
 		c.BreakerCooldown = 50_000
 	}
-	if c.Think == 0 {
-		c.Think = 1_000
-	}
-	if c.Overhead == 0 {
-		c.Overhead = 500
-	}
 	if c.MigrateLatency == 0 {
 		c.MigrateLatency = 5_000
 	}
 	if c.FailoverBudget == 0 {
 		c.FailoverBudget = 1
-	}
-	if c.DropTimeout == 0 {
-		c.DropTimeout = 64_000
 	}
 	return c
 }
@@ -277,8 +240,7 @@ type ClusterReport struct {
 	ChaosRate float64  `json:"chaos_rate"`
 	Heal      int      `json:"heal"`
 
-	KillAt        uint64 `json:"kill_at,omitempty"`
-	KilledBackend int    `json:"killed_backend"` // -1: nothing died (multi-kill: the last victim)
+	KilledBackend int `json:"killed_backend"` // -1: nothing died (multi-kill: the last victim)
 
 	// Kills is every executed kill in virtual-time order; Migrations
 	// collects the absorbed kills' migration reports in the same order
@@ -473,7 +435,7 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 		switch {
 		case cfg.Mesh != nil:
 			return nil, fmt.Errorf("cluster: mesh requires traffic mode")
-		case cfg.Hedge != nil:
+		case cfg.Hedge:
 			return nil, fmt.Errorf("cluster: hedging requires traffic mode")
 		case cfg.RetryBudget != nil:
 			return nil, fmt.Errorf("cluster: retry budget requires traffic mode")
@@ -485,7 +447,7 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 			return nil, fmt.Errorf("cluster: vertical scaling requires traffic mode")
 		}
 	} else {
-		if cfg.KillAt > 0 || len(cfg.Kills) > 0 {
+		if len(cfg.Kills) > 0 {
 			return nil, fmt.Errorf("cluster: traffic mode and the kill schedule are mutually exclusive")
 		}
 		return soakClusterTraffic(ctx, cfg)
@@ -499,12 +461,7 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Fold the legacy single-kill knobs into the kill schedule and
-	// validate it.
 	kills := append([]KillSpec(nil), cfg.Kills...)
-	if cfg.KillAt > 0 {
-		kills = append(kills, KillSpec{At: cfg.KillAt, Backend: cfg.KillBackend})
-	}
 	for _, k := range kills {
 		if k.At == 0 {
 			return nil, fmt.Errorf("cluster: kill at virtual instant 0")
@@ -535,7 +492,7 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 		return nil, err
 	}
 	router := NewRouter(cfg.Seed)
-	clients := serve.NewClients(cfg.Seed, cfg.Clients, cfg.Requests, cfg.Think)
+	clients := serve.NewClients(cfg.Seed, cfg.Clients, cfg.Requests)
 	arrivals := clients.Arrivals(cfg.Workload, cfg.Schemes)
 	outcomes, err := precompute(ctx, cfg, arrivals, clients.Seed)
 	if err != nil {
@@ -546,9 +503,9 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 		Seed: cfg.Seed, Workload: cfg.Workload, Schemes: cfg.Schemes,
 		Backends: cfg.Backends, Clients: cfg.Clients, PerClient: cfg.Requests,
 		ChaosRate: cfg.ChaosRate, Heal: cfg.Heal,
-		KillAt: cfg.KillAt, KilledBackend: -1,
+		KilledBackend: -1,
 	}
-	backoffs := serve.NewBackoffs(cfg.Seed, cfg.BackoffBase, cfg.BackoffCap, clients)
+	backoffs := serve.NewBackoffs(cfg.Seed, clients)
 
 	// Per-request replay state: gen invalidates an orphaned request's
 	// pending evDone; execOn tracks which backend is executing it;
@@ -574,7 +531,7 @@ func Soak(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 	startService := func(bk, id int) {
 		backends[bk].busy++
 		execOn[id] = bk
-		q.Push(serve.Event{At: q.Now() + cfg.Overhead + outcomes[id].Cycles, Kind: evDone, ID: id, Backend: bk, Gen: gen[id]})
+		q.Push(serve.Event{At: q.Now() + serve.ServiceOverhead + outcomes[id].Cycles, Kind: evDone, ID: id, Backend: bk, Gen: gen[id]})
 	}
 	admit := func(bk, id int) bool {
 		d := backends[bk]

@@ -59,35 +59,25 @@ import (
 	"pacstack/internal/traffic"
 )
 
-// HedgeConfig parameterises hedged requests. The per-class hedge
-// delay is the class's P50 target when it has one (hedge when the
-// request is already slower than half its traffic should be), else
-// P99/4, else Delay; every hedge adds a seeded jitter draw so
-// same-instant primaries don't hedge in lockstep.
-type HedgeConfig struct {
-	// Delay is the fallback hedge delay in virtual cycles for classes
-	// with no latency SLO. Default 16_384.
-	Delay uint64 `json:"delay"`
-	// Jitter bounds the seeded per-hedge uniform extra delay. Default
-	// Delay/4.
-	Jitter uint64 `json:"jitter"`
-}
+// The mesh replay's fixed timing, in virtual cycles. A hedge fires
+// after the class's P50 target when it has one (hedge when the request
+// is already slower than half its traffic should be), else after
+// P99/4, else after hedgeDelay; every hedge adds a seeded uniform draw
+// up to hedgeJitter so same-instant primaries don't hedge in lockstep.
+// dropTimeout is how long the sender waits on a mesh-dropped message
+// before declaring the attempt lost; brownoutWindow is the brownout
+// controller's evaluation window.
+const (
+	hedgeDelay     = 16_384
+	hedgeJitter    = hedgeDelay / 4
+	dropTimeout    = 64_000
+	brownoutWindow = 20_000
+)
 
-func (c HedgeConfig) withDefaults() HedgeConfig {
-	if c.Delay == 0 {
-		c.Delay = 16_384
-	}
-	if c.Jitter == 0 {
-		c.Jitter = c.Delay / 4
-	}
-	return c
-}
-
-// BrownoutConfig parameterises the priority brownout controller.
+// BrownoutConfig parameterises the priority brownout controller. Its
+// depth is capped at every priority tier except the most important
+// one.
 type BrownoutConfig struct {
-	// Interval is the evaluation window in virtual cycles. Default
-	// 20_000.
-	Interval uint64 `json:"interval"`
 	// BurnPermille escalates when a window's failure burn (timeouts +
 	// sheds + denials per fresh arrival), cluster-wide or on any one
 	// backend, crosses it. De-escalation needs burn under half of it.
@@ -96,15 +86,9 @@ type BrownoutConfig struct {
 	// DenyThreshold escalates when a window sees this many
 	// retry-budget denials. Default 4.
 	DenyThreshold int `json:"deny_threshold"`
-	// MaxLevel caps the brownout depth in priority tiers. Default:
-	// every tier except the most important one.
-	MaxLevel int `json:"max_level"`
 }
 
 func (c BrownoutConfig) withDefaults() BrownoutConfig {
-	if c.Interval == 0 {
-		c.Interval = 20_000
-	}
 	if c.BurnPermille <= 0 {
 		c.BurnPermille = 300
 	}
@@ -248,25 +232,19 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 			tlog.Record(telemetry.EvEject, fmt.Sprintf("backend-%d", bk), cause, at)
 		})
 	}
-	hedging := cfg.Hedge != nil
-	var hcfg HedgeConfig
 	var hedgeRNG *rand.Rand
-	if hedging {
-		hcfg = cfg.Hedge.withDefaults()
+	if cfg.Hedge {
 		hedgeRNG = rand.New(rand.NewSource(serve.Mix(cfg.Seed, 0x4ed6e)))
 	}
-	hedgeDelay := func(class int) uint64 {
+	hedgeAfter := func(class int) uint64 {
 		slo := model.Classes[class].SLO
-		d := hcfg.Delay
+		d := uint64(hedgeDelay)
 		if slo.P50 > 0 {
 			d = slo.P50
 		} else if slo.P99 > 0 {
 			d = slo.P99 / 4
 		}
-		if hcfg.Jitter > 0 {
-			d += uint64(hedgeRNG.Int63n(int64(hcfg.Jitter) + 1))
-		}
-		return d
+		return d + uint64(hedgeRNG.Int63n(hedgeJitter+1))
 	}
 
 	// Brownout: the shed order is the distinct priority tiers, least
@@ -290,10 +268,6 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 				}
 			}
 		}
-		max := len(shedOrder) - 1 // never shed the most important tier
-		if bcfg.MaxLevel <= 0 || bcfg.MaxLevel > max {
-			bcfg.MaxLevel = max
-		}
 	}
 	brownLevel := 0
 	calmStreak := 0
@@ -307,7 +281,7 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 		return model.Classes[class].Priority >= shedOrder[brownLevel-1]
 	}
 
-	backoffs := serve.NewBackoffs(cfg.Seed, cfg.BackoffBase, cfg.BackoffCap, nil)
+	backoffs := serve.NewBackoffs(cfg.Seed, nil)
 
 	done := make([]bool, len(arrivals))
 	live := make([][]*tAttempt, len(arrivals))
@@ -343,9 +317,9 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 		}
 	}
 	// startSvc begins one attempt's execution on its backend: the
-	// serving soak's contention model (service = (Overhead + cycles) x
-	// slow x ceil(busy/cores), fixed at service start) plus the
-	// attempt's mesh link latency.
+	// serving soak's contention model (service = (ServiceOverhead +
+	// cycles) x slow x ceil(busy/cores), fixed at service start) plus
+	// the attempt's mesh link latency.
 	startSvc := func(a *tAttempt) {
 		d := backends[a.bk]
 		d.busy++
@@ -354,7 +328,7 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 		}
 		arr := arrivals[a.id]
 		o := outcomes[a.id]
-		dur := (cfg.Overhead + o.Cycles) * arr.Slow
+		dur := (serve.ServiceOverhead + o.Cycles) * arr.Slow
 		dur *= uint64((d.busy + d.cores - 1) / d.cores)
 		dur += a.linkLat
 		a.dur = dur
@@ -407,7 +381,7 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 			// so a healthy backend that merely lost a close race
 			// observes its true baseline, not a queueing artifact.
 			if winner != nil && (a.queued || a.executing) {
-				intrinsic := (cfg.Overhead + outcomes[id].Cycles) * arrivals[id].Slow
+				intrinsic := (serve.ServiceOverhead + outcomes[id].Cycles) * arrivals[id].Slow
 				if intrinsic > 0 {
 					ejector.Observe(a.bk, q.Now(), false, int((a.linkLat+intrinsic)*1000/intrinsic))
 				}
@@ -439,7 +413,7 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 		}
 		// Ejector dilation sample: how much the attempt's occupancy
 		// (contention + link) exceeded the request's intrinsic cost.
-		intrinsic := (cfg.Overhead + o.Cycles) * arr.Slow
+		intrinsic := (serve.ServiceOverhead + o.Cycles) * arr.Slow
 		if intrinsic > 0 {
 			ejector.Observe(a.bk, q.Now(), false, int(a.dur*1000/intrinsic))
 		}
@@ -517,7 +491,7 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 			rep.LinkDrops++
 			dropVec.With(fmt.Sprint(bk), v.Cause.String()).Inc()
 			tlog.Record(telemetry.EvLinkDrop, fmt.Sprintf("backend-%d", bk), v.Cause.String(), now)
-			q.Push(serve.Event{At: now + cfg.DropTimeout, Kind: evTimeout, ID: id, Gen: a.tok})
+			q.Push(serve.Event{At: now + dropTimeout, Kind: evTimeout, ID: id, Gen: a.tok})
 			return a
 		}
 		a.linkLat = v.Latency
@@ -583,7 +557,7 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 	// the last request drains.
 	ticksPending := 0
 	if browning {
-		q.Push(serve.Event{At: bcfg.Interval, Kind: evTick, ID: 0})
+		q.Push(serve.Event{At: brownoutWindow, Kind: evTick, ID: 0})
 		ticksPending++
 	}
 	if cfg.VerticalAdaptive != nil {
@@ -622,8 +596,8 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 				retryOrGiveUp(id, e.Attempt)
 				break
 			}
-			if hedging && e.Attempt == 0 {
-				q.Push(serve.Event{At: now + hedgeDelay(arr.Class), Kind: evHedge, ID: id, Gen: a.tok})
+			if cfg.Hedge && e.Attempt == 0 {
+				q.Push(serve.Event{At: now + hedgeAfter(arr.Class), Kind: evHedge, ID: id, Gen: a.tok})
 			}
 		case evHedge:
 			primary, ok := atts[e.Gen]
@@ -719,7 +693,7 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 				switch {
 				case hot:
 					calmStreak = 0
-					if brownLevel < bcfg.MaxLevel {
+					if brownLevel < len(shedOrder)-1 { // never shed the most important tier
 						brownLevel++
 						if brownLevel > rep.BrownoutMaxLevel {
 							rep.BrownoutMaxLevel = brownLevel
@@ -742,7 +716,7 @@ func soakClusterTraffic(ctx context.Context, cfg SoakConfig) (*ClusterReport, er
 					winBkBad[i], winBkRouted[i] = 0, 0
 				}
 				if q.Len() > ticksPending {
-					q.Push(serve.Event{At: now + bcfg.Interval, Kind: evTick, ID: 0})
+					q.Push(serve.Event{At: now + brownoutWindow, Kind: evTick, ID: 0})
 					ticksPending++
 				}
 			case 1: // vertical core scaling

@@ -132,7 +132,7 @@ func TestTrafficSoakHedgePairKeys(t *testing.T) {
 		Mesh: &mesh.Config{Links: map[int]mesh.LinkConfig{
 			0: {Latency: 40_000}, 1: {Latency: 40_000}, 2: {Latency: 40_000},
 		}},
-		Hedge:       &HedgeConfig{},
+		Hedge:       true,
 		RetryBudget: &resilience.RetryBudgetConfig{Num: 9, Den: 10, Burst: 50},
 	}
 	rep, err := Soak(context.Background(), cfg)
@@ -251,14 +251,14 @@ func TestBrownoutShedsByPriority(t *testing.T) {
 // TestTrafficModeValidation: the resilience knobs require traffic
 // mode, and traffic mode excludes the kill schedule.
 func TestTrafficModeValidation(t *testing.T) {
-	if _, err := Soak(context.Background(), SoakConfig{Hedge: &HedgeConfig{}}); err == nil {
+	if _, err := Soak(context.Background(), SoakConfig{Hedge: true}); err == nil {
 		t.Error("hedging without traffic mode must fail")
 	}
 	if _, err := Soak(context.Background(), SoakConfig{Mesh: &mesh.Config{}}); err == nil {
 		t.Error("mesh without traffic mode must fail")
 	}
 	model := traffic.Default(1)
-	if _, err := Soak(context.Background(), SoakConfig{Traffic: &model, KillAt: 5}); err == nil {
+	if _, err := Soak(context.Background(), SoakConfig{Traffic: &model, Kills: []KillSpec{{At: 5}}}); err == nil {
 		t.Error("traffic mode with a kill schedule must fail")
 	}
 	if _, err := Soak(context.Background(), SoakConfig{

@@ -20,18 +20,13 @@ func ClusterSoak(r *cluster.ClusterReport) string {
 		fmt.Fprintf(&b, "seed %d | workload %s | schemes %s | %d backends | %d clients x %d requests | chaos %.1f%% | heal %d\n",
 			r.Seed, r.Workload, strings.Join(r.Schemes, ","), r.Backends, r.Clients, r.PerClient, 100*r.ChaosRate, r.Heal)
 	}
-	switch {
-	case len(r.Kills) > 0:
-		for _, k := range r.Kills {
-			absorbed := "absorbed"
-			if !k.Absorbed {
-				absorbed = "NOT absorbed (budget exhausted)"
-			}
-			fmt.Fprintf(&b, "kill: backend %d at virtual cycle %d — %s | survivor %d | orphans %d | replayed %d | abandoned %d\n",
-				k.Backend, k.At, absorbed, k.Survivor, k.Orphans, k.Replayed, k.Abandoned)
+	for _, k := range r.Kills {
+		absorbed := "absorbed"
+		if !k.Absorbed {
+			absorbed = "NOT absorbed (budget exhausted)"
 		}
-	case r.KillAt > 0:
-		fmt.Fprintf(&b, "kill: scheduled at virtual cycle %d (never fired)\n", r.KillAt)
+		fmt.Fprintf(&b, "kill: backend %d at virtual cycle %d — %s | survivor %d | orphans %d | replayed %d | abandoned %d\n",
+			k.Backend, k.At, absorbed, k.Survivor, k.Orphans, k.Replayed, k.Abandoned)
 	}
 
 	fmt.Fprintf(&b, "\n%-10s %8s %8s %8s %8s %8s %8s %8s %8s %7s %7s %6s\n",

@@ -234,13 +234,14 @@ func (m *Mesh) Sample(idx int, now uint64) Verdict {
 	return v
 }
 
-// Gray is the canned gray-backend link the check.sh mesh gate runs: a
-// backend that still answers — slowly, lossily — without ever looking
-// dead to a liveness probe. The base added round trip sits exactly at
-// the canned web class's p99 target (262_144 cycles), so every
-// interactive request that rides this link without a hedge is a
-// structural p99 violation, and the drop rate forces timeouts and
-// retries without ever tripping a breaker outright.
+// Gray is the canned gray-backend link the mesh gate scenario
+// (cluster.MeshGateConfig) runs: a backend that still answers —
+// slowly, lossily — without ever looking dead to a liveness probe. The
+// base added round trip sits exactly at the canned web class's p99
+// target (262_144 cycles), so every interactive request that rides
+// this link without a hedge is a structural p99 violation, and the
+// drop rate forces timeouts and retries without ever tripping a
+// breaker outright.
 func Gray() LinkConfig {
 	return LinkConfig{
 		Latency: 262_144,

@@ -33,6 +33,17 @@ import (
 	"pacstack/internal/traffic"
 )
 
+// The replays' fixed timing, in virtual cycles. ServiceOverhead is the
+// per-execution service latency every replay adds to a request's
+// simulated cycles; think is a closed-loop client's mean think time;
+// backoffBase and backoffCap shape every retry-backoff stream.
+const (
+	ServiceOverhead = 500
+	think           = 1_000
+	backoffBase     = 2_000
+	backoffCap      = 64_000
+)
+
 // Mix folds two values into one seed (splitmix64 finalizer). Request,
 // client and backend identity address their entropy through it;
 // scheduling never does.
@@ -345,13 +356,12 @@ func (t *Tally) Close() []SoakRow {
 // [think/2, think], from its own seeded stream.
 type Clients struct {
 	N, Requests int
-	think       uint64
 	thinks      []*rand.Rand
 }
 
 // NewClients returns n clients of requests requests each.
-func NewClients(seed int64, n, requests int, think uint64) *Clients {
-	c := &Clients{N: n, Requests: requests, think: think, thinks: make([]*rand.Rand, n)}
+func NewClients(seed int64, n, requests int) *Clients {
+	c := &Clients{N: n, Requests: requests, thinks: make([]*rand.Rand, n)}
 	for i := range c.thinks {
 		c.thinks[i] = rand.New(rand.NewSource(Mix(seed, int64(i)+0x2002)))
 	}
@@ -389,15 +399,14 @@ func (c *Clients) Next(q *Queue, kind, id int) {
 }
 
 func (c *Clients) thinkTime(client int) uint64 {
-	half := c.think / 2
-	return half + uint64(c.thinks[client].Int63n(int64(c.think-half+1)))
+	const half = think / 2
+	return half + uint64(c.thinks[client].Int63n(think-half+1))
 }
 
 // Backoffs hands out a replay's seeded retry-backoff streams, each
 // built on first use: one per closed-loop client, or one per arrival in
 // an open-loop run.
 type Backoffs struct {
-	base, cap  uint64
 	seed, salt int64
 	per        int // request ids per stream
 	streams    map[int]*resilience.Backoff
@@ -405,8 +414,8 @@ type Backoffs struct {
 
 // NewBackoffs returns the streams of clients, or of the arrivals of an
 // open-loop run when clients is nil.
-func NewBackoffs(seed int64, base, cap uint64, clients *Clients) *Backoffs {
-	b := &Backoffs{base: base, cap: cap, seed: seed, salt: 0x3003, per: 1, streams: make(map[int]*resilience.Backoff)}
+func NewBackoffs(seed int64, clients *Clients) *Backoffs {
+	b := &Backoffs{seed: seed, salt: 0x3003, per: 1, streams: make(map[int]*resilience.Backoff)}
 	if clients != nil {
 		b.salt, b.per = 0x1001, clients.Requests
 	}
@@ -418,7 +427,7 @@ func (b *Backoffs) Delay(id, attempt int) uint64 {
 	key := id / b.per
 	s, ok := b.streams[key]
 	if !ok {
-		s = resilience.NewBackoff(b.base, b.cap, Mix(b.seed, int64(key)+b.salt))
+		s = resilience.NewBackoff(backoffBase, backoffCap, Mix(b.seed, int64(key)+b.salt))
 		b.streams[key] = s
 	}
 	return s.Delay(attempt)

@@ -244,22 +244,23 @@ func TestOverloadShedsAndDrainLosesNothing(t *testing.T) {
 		t.Fatalf("err = %v, want ErrDraining", err)
 	}
 
-	// ...but the in-flight request finishes and Drain waits for it.
+	// ...but the in-flight request finishes and Drain waits for it. Do
+	// counts its outcome before it releases its admission slot, so once
+	// Drain returns the request is finished and counted; only the
+	// goroutine's send of Do's result may still be on its way.
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Drain(ctx); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("in-flight request lost to drain: %v", err)
-		}
-	default:
-		t.Fatal("drain returned before the in-flight request finished")
-	}
 	st := s.Stats()
-	if st.Shed != 1 || st.RejectedDraining != 1 || st.OK != 1 {
+	if st.OK != 1 || s.InFlight() != 0 {
+		t.Fatalf("drain returned before the in-flight request finished: ok %d, in flight %d", st.OK, s.InFlight())
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("in-flight request lost to drain: %v", err)
+	}
+	if st.Shed != 1 || st.RejectedDraining != 1 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -404,8 +405,8 @@ func TestSoakGracefulAndNeverSilent(t *testing.T) {
 	}
 }
 
-// TestSoakShedsUnderPressure: a tight server model with zero queue and
-// no think time forces contention the report must account for.
+// TestSoakShedsUnderPressure: a tight server model with one worker
+// and no queue forces contention the report must account for.
 func TestSoakShedsUnderPressure(t *testing.T) {
 	cfg := SoakConfig{
 		Clients:  8,
@@ -413,7 +414,6 @@ func TestSoakShedsUnderPressure(t *testing.T) {
 		Seed:     23,
 		Workers:  1,
 		Queue:    -1,
-		Think:    1, // clients hammer essentially back-to-back
 		Retries:  2,
 	}
 	rep, err := Soak(context.Background(), cfg)

@@ -61,23 +61,14 @@ type SoakConfig struct {
 
 	// Retries is the per-request client retry budget for *rejections*
 	// (sheds, breaker denials); execution outcomes are terminal.
-	// Default 3. BackoffBase/BackoffCap shape the retry delays
-	// (defaults 2_000 / 64_000 cycles).
-	Retries     int
-	BackoffBase uint64
-	BackoffCap  uint64
+	// Default 3.
+	Retries int
 
 	// BreakerThreshold/BreakerCooldown configure the per-scheme
 	// breaker in virtual time (defaults 8 / 50_000 cycles);
 	// Threshold < 0 disables it.
 	BreakerThreshold int
 	BreakerCooldown  uint64
-
-	// Think is the mean inter-request think time per client; Overhead
-	// is fixed per-execution service latency added to the victim's
-	// simulated cycles. Defaults 1_000 and 500.
-	Think    uint64
-	Overhead uint64
 
 	// Telemetry, when non-nil, receives the soak's metrics and events,
 	// stamped with virtual time (the Set's clocks are retargeted for
@@ -92,8 +83,8 @@ type SoakConfig struct {
 	// Clients x Requests closed-loop clients, the model generates the
 	// arrival stream (diurnal curve, bursts, heavy-tail class mixture,
 	// slow clients, poison requests) and the report gains a per-class
-	// SLO evaluation. Clients/Requests/Workload/Schemes/Think are
-	// ignored in this mode; everything else applies as usual.
+	// SLO evaluation. Clients/Requests/Workload/Schemes are ignored
+	// in this mode; everything else applies as usual.
 	Traffic *traffic.Model
 
 	// Cores models the host's physical parallelism in traffic mode:
@@ -159,23 +150,11 @@ func (c SoakConfig) withDefaults() SoakConfig {
 	if c.Retries < 0 {
 		c.Retries = 0
 	}
-	if c.BackoffBase == 0 {
-		c.BackoffBase = 2_000
-	}
-	if c.BackoffCap == 0 {
-		c.BackoffCap = 64_000
-	}
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 8
 	}
 	if c.BreakerCooldown == 0 {
 		c.BreakerCooldown = 50_000
-	}
-	if c.Think == 0 {
-		c.Think = 1_000
-	}
-	if c.Overhead == 0 {
-		c.Overhead = 500
 	}
 	if c.Traffic == nil {
 		// Closed-loop clients see no contention and no controller.
@@ -305,7 +284,7 @@ func Soak(ctx context.Context, cfg SoakConfig) (*SoakReport, error) {
 		}
 		rep.Workload, rep.Schemes = "traffic", ArrivalSchemes(arrivals)
 	} else {
-		clients = NewClients(cfg.Seed, cfg.Clients, cfg.Requests, cfg.Think)
+		clients = NewClients(cfg.Seed, cfg.Clients, cfg.Requests)
 		arrivals = clients.Arrivals(cfg.Workload, cfg.Schemes)
 		rep.Workload, rep.Schemes = cfg.Workload, cfg.Schemes
 		rep.Clients, rep.PerClient = cfg.Clients, cfg.Requests

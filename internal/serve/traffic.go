@@ -8,13 +8,13 @@
 //
 // Two mechanisms matter under open-loop load:
 //
-//   - A contention model. Service time is (Overhead + boot cost +
-//     victim cycles) x slow-factor x ceil(busy/Cores): a pool resized
-//     beyond the host's cores degrades everyone's latency instead of
-//     magically adding capacity. The penalty is fixed at service start
-//     (no retroactive stretching), which keeps the DES exact and
-//     deterministic. Closed-loop clients never exceed the pool, so the
-//     penalty stays 1.
+//   - A contention model. Service time is (ServiceOverhead + boot
+//     cost + victim cycles) x slow-factor x ceil(busy/Cores): a pool
+//     resized beyond the host's cores degrades everyone's latency
+//     instead of magically adding capacity. The penalty is fixed at
+//     service start (no retroactive stretching), which keeps the DES
+//     exact and deterministic. Closed-loop clients never exceed the
+//     pool, so the penalty stays 1.
 //
 //   - An adaptive admission loop. With SoakConfig.Adaptive set, a
 //     clock-free resilience.AIMD controller ticks every Interval
@@ -120,7 +120,7 @@ func replay(ctx context.Context, cfg SoakConfig, rep *SoakReport, arrivals []tra
 			})
 		}
 	}
-	backoffs := NewBackoffs(cfg.Seed, cfg.BackoffBase, cfg.BackoffCap, clients)
+	backoffs := NewBackoffs(cfg.Seed, clients)
 
 	workers, queueCap := cfg.Workers, cfg.Queue
 	var ctl *resilience.AIMD
@@ -168,7 +168,7 @@ func replay(ctx context.Context, cfg SoakConfig, rep *SoakReport, arrivals []tra
 		// Slow clients stretch their whole occupancy; the contention
 		// penalty is ceil(busy/cores) at start — an over-grown pool
 		// slows everything it admits.
-		dur := (cfg.Overhead + bootCost[a.Workload+"/"+a.Scheme] + outcomes[id].Cycles) * a.Slow
+		dur := (ServiceOverhead + bootCost[a.Workload+"/"+a.Scheme] + outcomes[id].Cycles) * a.Slow
 		dur *= uint64((busy + cfg.Cores - 1) / cfg.Cores)
 		served[id] = dur
 		q.Push(Event{At: q.Now() + dur, Kind: evDone, ID: id})

@@ -148,3 +148,77 @@ func TestTrafficAdaptiveHoldsBurstSLOWhereStaticFails(t *testing.T) {
 		t.Fatalf("controller never grew under the burst: %+v", st)
 	}
 }
+
+// TestWarmPoolBeatsColdBoot grades the warm pools against the cold-boot
+// baseline at the closed-loop soak flag set -clients 6 -requests 12
+// -seed 7 -chaos-rate 0.1 -heal 1. Two comparisons:
+//
+//   - Closed loop, breakers and shedding off, so the terminals are a
+//     pure function of the precomputed outcomes: the cold- and
+//     warm-model runs must agree exactly on every outcome count (the
+//     §4.3 draw-parity property, end to end) with no silent corruption,
+//     and warm must deliver at least 10x the cold requests per virtual
+//     second.
+//   - The boot-dominated open-loop fork-server scenario, where warm must
+//     clear 20x. Outcomes are not compared: under overload the two cost
+//     models legitimately shed different arrivals.
+//
+// Both warm runs must serve from the pools and record zero image-key
+// violations.
+func TestWarmPoolBeatsColdBoot(t *testing.T) {
+	run := func(cfg SoakConfig, boot string) *SoakReport {
+		t.Helper()
+		cfg.BootModel = boot
+		rep, err := Soak(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Graceful() {
+			t.Errorf("%s run not graceful: %+v", boot, rep)
+		}
+		return rep
+	}
+	// Breakers and retries off, and a queue as deep as the client count:
+	// at most Clients requests are outstanding, so nothing sheds.
+	closed := SoakConfig{
+		Clients: 6, Requests: 12, Seed: 7, ChaosRate: 0.1, Heal: 1,
+		Queue: 6, BreakerThreshold: -1, Retries: -1,
+	}
+	cold, warm := run(closed, "cold"), run(closed, "warm")
+	open := func() SoakConfig {
+		m := traffic.ForkServerScenario(7)
+		return SoakConfig{Seed: 7, Traffic: &m, ChaosRate: 0.1, Heal: 1}
+	}
+	tCold, tWarm := run(open(), "cold"), run(open(), "warm")
+
+	if cold.OK != warm.OK || cold.Detected != warm.Detected || cold.Silent != warm.Silent ||
+		cold.GaveUp != warm.GaveUp || cold.Injected != warm.Injected {
+		t.Errorf("closed-loop outcomes diverged across boot models: cold ok/detected/silent/gave-up/injected %d/%d/%d/%d/%d, warm %d/%d/%d/%d/%d",
+			cold.OK, cold.Detected, cold.Silent, cold.GaveUp, cold.Injected,
+			warm.OK, warm.Detected, warm.Silent, warm.GaveUp, warm.Injected)
+	}
+	if warm.Silent != 0 {
+		t.Errorf("%d silent corruption(s) under the warm pool", warm.Silent)
+	}
+	if warm.PoolKeyViolations != 0 || tWarm.PoolKeyViolations != 0 {
+		t.Errorf("image-key violations: closed %d, traffic %d — a restore kept the snapshot's PA keys",
+			warm.PoolKeyViolations, tWarm.PoolKeyViolations)
+	}
+	if warm.PoolRestores == 0 || tWarm.PoolRestores == 0 {
+		t.Errorf("a warm run served no pool restores (closed %d, traffic %d)", warm.PoolRestores, tWarm.PoolRestores)
+	}
+	ratio := func(w, c uint64) float64 {
+		if c == 0 {
+			return 0
+		}
+		return float64(w) / float64(c)
+	}
+	closedX, trafficX := ratio(warm.RPVSMilli, cold.RPVSMilli), ratio(tWarm.RPVSMilli, tCold.RPVSMilli)
+	t.Logf("warm/cold requests per virtual second: closed loop %.1fx, fork-server traffic %.1fx", closedX, trafficX)
+	if closedX < 10 {
+		t.Errorf("closed-loop warm/cold throughput %.2fx, need >= 10x", closedX)
+	}
+	if trafficX < 20 {
+		t.Errorf("fork-server traffic warm/cold throughput %.2fx, need >= 20x", trafficX)
+	}
+}

@@ -224,8 +224,8 @@ func TestRestoreProcessVerifiesProgram(t *testing.T) {
 }
 
 // TestCrashMatrixSmall runs a reduced campaign end to end and holds
-// it to the acceptance bar. The full 8-seed campaign runs in
-// cmd/pacstack-snap and check.sh.
+// it to the acceptance bar. The full 8-seed campaign is
+// TestCrashMatrixGolden in the root package.
 func TestCrashMatrixSmall(t *testing.T) {
 	rep, err := RunMatrix(MatrixConfig{Seeds: 2, BaseSeed: 42, ImageSamples: 8, RotFaults: 4, TruncFaults: 4, DupFaults: 2})
 	if err != nil {
@@ -243,7 +243,7 @@ func TestCrashMatrixSmall(t *testing.T) {
 }
 
 // TestCrashMatrixDeterministic: same config, byte-identical report —
-// the property check.sh's double-run cmp gate relies on.
+// the property the crash-matrix golden relies on.
 func TestCrashMatrixDeterministic(t *testing.T) {
 	cfg := MatrixConfig{Seeds: 1, BaseSeed: 7, ImageSamples: 4, RotFaults: 2, TruncFaults: 2, DupFaults: 1}
 	a, err := RunMatrix(cfg)

@@ -94,7 +94,10 @@ func (b Binomial) Rate() float64 {
 }
 
 // Wilson returns the Wilson score interval at the given z (1.96 for
-// 95%). Robust near 0 and 1, where the attack probabilities live.
+// 95%). Robust near 0 and 1, where the attack probabilities live. The
+// interval always contains the point estimate: at 0 or n successes
+// center-half (or center+half) is exactly p in real arithmetic, and
+// rounding must not push it a few ulps past.
 func (b Binomial) Wilson(z float64) (lo, hi float64) {
 	if b.Trials == 0 {
 		return 0, 1
@@ -105,7 +108,7 @@ func (b Binomial) Wilson(z float64) (lo, hi float64) {
 	den := 1 + z2/n
 	center := (p + z2/(2*n)) / den
 	half := z / den * math.Sqrt(p*(1-p)/n+z2/(4*n*n))
-	return math.Max(0, center-half), math.Min(1, center+half)
+	return math.Max(0, math.Min(p, center-half)), math.Min(1, math.Max(p, center+half))
 }
 
 // String renders the estimate with its 95% interval.

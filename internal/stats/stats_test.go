@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func almost(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
@@ -81,16 +80,18 @@ func TestBinomialWilson(t *testing.T) {
 	}
 }
 
+// TestWilsonCoversTruthProperty walks every uint8 pair (successes,
+// extra failures): the interval stays in [0, 1] and contains its own
+// point estimate.
 func TestWilsonCoversTruthProperty(t *testing.T) {
-	f := func(succ uint8, extra uint8) bool {
-		n := int(succ) + int(extra) + 1
-		b := Binomial{Successes: int(succ), Trials: n}
-		lo, hi := b.Wilson(1.96)
-		p := b.Rate()
-		return lo <= p && p <= hi && lo >= 0 && hi <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
+	for succ := 0; succ < 256; succ++ {
+		for extra := 0; extra < 256; extra++ {
+			b := Binomial{Successes: succ, Trials: succ + extra + 1}
+			lo, hi := b.Wilson(1.96)
+			if p := b.Rate(); !(lo <= p && p <= hi && lo >= 0 && hi <= 1) {
+				t.Fatalf("%+v: interval [%g, %g] around %g", b, lo, hi, p)
+			}
+		}
 	}
 }
 

@@ -76,7 +76,7 @@ func TestDumpJSONGolden(t *testing.T) {
 		}
 	}
 	// Identical builds marshal byte-identically — the property the
-	// check.sh double-run gate rests on.
+	// soak and crash-matrix goldens rest on.
 	b2, _ := json.Marshal(goldenSet().Dump())
 	if string(b2) != got {
 		t.Error("two identical sets marshalled differently")

@@ -99,10 +99,10 @@ func ForkServerScenario(seed int64) Model {
 	}
 }
 
-// BurstScenario is the canned 10x-burst scenario the check.sh gate
-// and the adaptive-vs-static tests run: the default diurnal mixture
-// plus the hostile classes, with a 10x Poisson burst overlay holding
-// for a million cycles mid-horizon.
+// BurstScenario is the canned 10x-burst scenario the overload and
+// mesh gate tests run: the default diurnal mixture plus the hostile
+// classes, with a 10x Poisson burst overlay holding for a million
+// cycles mid-horizon.
 func BurstScenario(seed int64) Model {
 	m := Default(seed)
 	m.Classes = append(m.Classes, HostileClasses()...)

@@ -12,14 +12,16 @@ import (
 	"testing"
 
 	"pacstack/internal/cluster"
+	"pacstack/internal/compile"
 	"pacstack/internal/par"
 	"pacstack/internal/resilience"
 	"pacstack/internal/serve"
+	"pacstack/internal/snap"
 	"pacstack/internal/telemetry"
 	"pacstack/internal/traffic"
 )
 
-var update = flag.Bool("update", false, "rewrite the soak goldens under testdata/soak")
+var update = flag.Bool("update", false, "rewrite the soak and crash-matrix goldens under testdata")
 
 // soakCell is one pinned soak scenario. Exactly one of serveCfg and
 // clusterCfg builds its config; eventCap bounds its telemetry ring
@@ -38,9 +40,10 @@ func trafficModel(m traffic.Model, horizon uint64) *traffic.Model {
 	return &m
 }
 
-// closedSoak is check.sh's closed-loop soak flag set
-// (-clients 6 -requests 12 -seed 7 -chaos-rate 0.1 -heal 1) with the
-// CLI's defaults filled in.
+// closedSoak is the closed-loop soak flag set
+// -clients 6 -requests 12 -seed 7 -chaos-rate 0.1 -heal 1, which
+// internal/serve's warm-pool gate test also runs, with the CLI's
+// defaults filled in.
 func closedSoak() serve.SoakConfig {
 	return serve.SoakConfig{
 		Clients: 6, Requests: 12, Workload: "chain", Schemes: []string{"pacstack"},
@@ -58,9 +61,9 @@ func burstSoak(seed int64) serve.SoakConfig {
 	}
 }
 
-// clusterKill is check.sh's cluster failover flag set
-// (-backends 3 -clients 6 -requests 10 -seed 11 -chaos-rate 0.1
-// -heal 1) with the given kill schedule and the CLI's defaults.
+// clusterKill is the cluster failover flag set
+// -backends 3 -clients 6 -requests 10 -seed 11 -chaos-rate 0.1 -heal 1
+// with the given kill schedule and the CLI's defaults.
 func clusterKill(kills ...cluster.KillSpec) cluster.SoakConfig {
 	return cluster.SoakConfig{
 		Backends: 3, Clients: 6, Requests: 10, Workload: "chain", Schemes: []string{"pacstack"},
@@ -69,10 +72,11 @@ func clusterKill(kills ...cluster.KillSpec) cluster.SoakConfig {
 	}
 }
 
-// soakCells is the golden matrix: check.sh's soak scenarios, the two
-// soak-chaos job shapes of perfbench/soak.go at a short horizon, and
-// the configs of the serial-vs-parallel identity tests this table
-// replaced.
+// soakCells is the golden matrix: the scenarios the package gate tests
+// grade (closed-loop and warm soaks, the adaptive burst, the kill and
+// cascade failovers, the resilient mesh), the two soak-chaos job
+// shapes of perfbench/soak.go at a short horizon, and the configs of
+// the serial-vs-parallel identity tests this table replaced.
 var soakCells = []soakCell{
 	{name: "soak", serveCfg: closedSoak},
 	{name: "soak-warm", serveCfg: func() serve.SoakConfig {
@@ -122,12 +126,6 @@ var soakCells = []soakCell{
 		}
 	}},
 	{name: "traffic-burst-seed7", eventCap: 512, serveCfg: func() serve.SoakConfig { return burstSoak(7) }},
-	{name: "cluster-kill-legacy", clusterCfg: func() cluster.SoakConfig {
-		return cluster.SoakConfig{
-			Backends: 3, Clients: 6, Requests: 10, Seed: 11,
-			ChaosRate: 0.1, Heal: 1, KillAt: 40_000, KillBackend: -1,
-		}
-	}},
 	{name: "mesh-vertical", clusterCfg: func() cluster.SoakConfig {
 		c := cluster.MeshGateConfig(42, true)
 		c.VerticalAdaptive = &resilience.AIMDConfig{Start: 2, Max: 16}
@@ -270,6 +268,45 @@ func TestSoakGoldens(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCrashMatrixGolden runs the default torn-write crash-matrix
+// campaign (8 seeds from 1 under pacstack, 24 image-region samples,
+// telemetry clock pinned to 0), holds it clean — no silent restore,
+// replay divergence or recovery panic — and pins it against the bytes
+// pacstack-snap -crash-matrix -json prints.
+func TestCrashMatrixGolden(t *testing.T) {
+	tel := telemetry.New(telemetry.Options{Clock: func() uint64 { return 0 }})
+	rep, err := snap.RunMatrix(snap.MatrixConfig{
+		Seeds: 8, BaseSeed: 1, Scheme: compile.SchemePACStack, ImageSamples: 24,
+		Tel: snap.NewTelemetry(tel.Registry()),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Clean() {
+		t.Errorf("campaign not clean: %+v", rep.Totals)
+	}
+	got, err := json.MarshalIndent(struct {
+		*snap.MatrixReport
+		Telemetry telemetry.Dump `json:"telemetry"`
+	}{rep, tel.Dump()}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got = append(got, '\n')
+	path := filepath.Join("testdata", "crash-matrix.json")
+	if *update {
+		writeGolden(t, path, got)
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Errorf("%s differs from the golden:\n%s", path, lineDiff(want, got))
 	}
 }
 
