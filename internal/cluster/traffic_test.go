@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"strings"
 	"testing"
 
 	"pacstack/internal/mesh"
@@ -251,21 +252,25 @@ func TestBrownoutShedsByPriority(t *testing.T) {
 // TestTrafficModeValidation: the resilience knobs require traffic
 // mode, and traffic mode excludes the kill schedule.
 func TestTrafficModeValidation(t *testing.T) {
-	if _, err := Soak(context.Background(), SoakConfig{Hedge: true}); err == nil {
-		t.Error("hedging without traffic mode must fail")
-	}
-	if _, err := Soak(context.Background(), SoakConfig{Mesh: &mesh.Config{}}); err == nil {
-		t.Error("mesh without traffic mode must fail")
-	}
 	model := traffic.Default(1)
-	if _, err := Soak(context.Background(), SoakConfig{Traffic: &model, Kills: []KillSpec{{At: 5}}}); err == nil {
-		t.Error("traffic mode with a kill schedule must fail")
-	}
-	if _, err := Soak(context.Background(), SoakConfig{
-		Traffic: &model,
-		Mesh:    &mesh.Config{Links: map[int]mesh.LinkConfig{9: {}}},
-	}); err == nil {
-		t.Error("mesh link beyond the fleet must fail")
+	for _, c := range []struct {
+		name string
+		cfg  SoakConfig
+		want string
+	}{
+		{"cores", SoakConfig{Cores: 4}, "a core count requires traffic mode"},
+		{"mesh", SoakConfig{Mesh: &mesh.Config{}}, "mesh requires traffic mode"},
+		{"hedge", SoakConfig{Hedge: true}, "hedging requires traffic mode"},
+		{"retry budget", SoakConfig{RetryBudget: &resilience.RetryBudgetConfig{}}, "retry budget requires traffic mode"},
+		{"outlier", SoakConfig{Outlier: &OutlierConfig{}}, "outlier ejection requires traffic mode"},
+		{"brownout", SoakConfig{Brownout: &BrownoutConfig{}}, "brownout requires traffic mode"},
+		{"vertical", SoakConfig{VerticalAdaptive: &resilience.AIMDConfig{}}, "vertical scaling requires traffic mode"},
+		{"kills", SoakConfig{Traffic: &model, Kills: []KillSpec{{At: 5}}}, "mutually exclusive"},
+		{"mesh link", SoakConfig{Traffic: &model, Mesh: &mesh.Config{Links: map[int]mesh.LinkConfig{9: {}}}}, "out of range"},
+	} {
+		if _, err := Soak(context.Background(), c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }
 

@@ -152,13 +152,13 @@ func Precompute(ctx context.Context, base Config, arrivals []traffic.Arrival, se
 }
 
 // Event is one step of a soak replay. Kind is the replay's own event
-// vocabulary and ID names the request; Attempt, Backend and Gen carry
-// whatever the kind needs.
+// vocabulary and ID names the request; Attempt and Gen carry whatever
+// the kind needs (the cluster replay keeps an attempt token in Gen).
 type Event struct {
-	At                         uint64
-	Kind, ID, Attempt, Backend int
-	Gen                        int
-	seq                        int
+	At                uint64
+	Kind, ID, Attempt int
+	Gen               int
+	seq               int
 }
 
 // Queue holds a replay's pending events and its virtual clock. Events
