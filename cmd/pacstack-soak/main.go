@@ -30,7 +30,9 @@
 // per-class SLO evaluation appended to the report, and — with
 // -adaptive — the clock-free AIMD controller resizing the admission
 // limit in virtual time. -clients/-requests/-workload are ignored in
-// this mode; the model decides arrivals and workloads.
+// this mode; the model decides arrivals and workloads. Without
+// -traffic, the open-loop flags (-traffic-*, -burst-factor, -cores,
+// -adaptive*) are refused.
 //
 // With -boot-model, machine acquisition is charged in virtual time:
 // "cold" prices every execution at the modeled full-boot cost, "warm"
@@ -113,6 +115,16 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
+	if *trafficMode == "" {
+		// The closed client loop has no model to shape and no admission
+		// controller: refuse the open-loop flags instead of ignoring them.
+		flag.Visit(func(f *flag.Flag) {
+			if strings.HasPrefix(f.Name, "traffic-") || strings.HasPrefix(f.Name, "adaptive") ||
+				f.Name == "burst-factor" || f.Name == "cores" {
+				log.Fatalf("-%s needs a traffic-mode run (-traffic)", f.Name)
+			}
+		})
+	}
 
 	if *parWidth > 0 {
 		restore := par.SetWorkers(*parWidth)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"pacstack/internal/resilience"
@@ -220,5 +221,23 @@ func TestWarmPoolBeatsColdBoot(t *testing.T) {
 	}
 	if trafficX < 20 {
 		t.Errorf("fork-server traffic warm/cold throughput %.2fx, need >= 20x", trafficX)
+	}
+}
+
+// TestSoakTrafficModeValidation: the contention model and the adaptive
+// controller act only on open-loop traffic, so a closed-loop soak that
+// sets them is refused instead of running as if they were unset.
+func TestSoakTrafficModeValidation(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		cfg  SoakConfig
+		want string
+	}{
+		{"cores", SoakConfig{Clients: 1, Requests: 1, Cores: 4}, "a core count requires traffic mode"},
+		{"adaptive", SoakConfig{Clients: 1, Requests: 1, Adaptive: &resilience.AIMDConfig{}}, "adaptive admission requires traffic mode"},
+	} {
+		if _, err := Soak(context.Background(), c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		}
 	}
 }
