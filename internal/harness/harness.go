@@ -20,7 +20,7 @@ import (
 func Table1(cells []attack.Table1Cell, bits int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Table 1: maximum success probability of call-stack integrity violations (b = %d)\n", bits)
-	fmt.Fprintf(&b, "%-34s %-10s %-12s %-22s\n", "Violation type", "Masking", "Expected", "Measured [95%% CI]")
+	fmt.Fprintf(&b, "%-34s %-10s %-12s %-22s\n", "Violation type", "Masking", "Expected", "Measured [95% CI]")
 	for _, c := range cells {
 		mask := "no"
 		if c.Masked {

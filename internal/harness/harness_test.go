@@ -21,7 +21,7 @@ func TestTable1Render(t *testing.T) {
 			Measured: stats.Binomial{Successes: 1, Trials: 100}},
 	}
 	out := Table1(cells, 8)
-	for _, want := range []string{"Table 1", "on-graph", "yes", "no", "0.99"} {
+	for _, want := range []string{"Table 1", "Measured [95% CI]", "on-graph", "yes", "no", "0.99"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("missing %q in:\n%s", want, out)
 		}
