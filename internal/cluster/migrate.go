@@ -25,11 +25,6 @@ type MachineMigration struct {
 	// migrated machine still holds the dead backend's keys — a
 	// protocol violation the soak gate fails on.
 	SharedKeys bool `json:"shared_keys"`
-	// Repooled records that the survivor re-seeded its warm pool from
-	// the shipped image: subsequent requests for this scheme restore
-	// from the migrated machine's resealed snapshot (warm backends
-	// only).
-	Repooled bool `json:"repooled,omitempty"`
 }
 
 // MigrationReport is the full account of one backend failover's
@@ -98,22 +93,6 @@ func MigrateMachines(from, to *Backend) (*MigrationReport, error) {
 		}
 		if shared {
 			rep.SharedKeyViolations++
-		}
-		// A warm survivor re-pools the cargo: the resealed process (new
-		// keys, quiescent state) becomes the boot image its snapshot-fork
-		// pool restores from, so post-failover traffic for this scheme is
-		// served off the migrated state — and the pool's image-key check
-		// now guards against the *shipped* image's keys leaking into
-		// serving machines.
-		if to.Srv != nil && to.Srv.Config().Warm {
-			bi, err := snap.EncodeBootImage(proc, m.Img.Prog)
-			if err != nil {
-				return rep, fmt.Errorf("cluster: re-pooling %s on backend %d: encode: %w", m.Scheme, to.Index, err)
-			}
-			if err := to.Srv.AdoptBootImage("chain", m.Scheme, bi.Bytes()); err != nil {
-				return rep, fmt.Errorf("cluster: re-pooling %s on backend %d: %w", m.Scheme, to.Index, err)
-			}
-			mm.Repooled = true
 		}
 		rep.Bytes += mm.Bytes
 		rep.Machines = append(rep.Machines, mm)

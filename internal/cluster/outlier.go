@@ -24,20 +24,22 @@
 
 package cluster
 
-import "fmt"
+// Ejection thresholds and EWMA weight.
+const (
+	// errPermille ejects when the error-rate EWMA (errors per attempt,
+	// in permille) crosses it.
+	errPermille = 300
+	// dilationPermille ejects when the latency-dilation EWMA crosses
+	// it. A sample's dilation is observed/intrinsic in permille, so
+	// 1000 is "exactly as expected"; 4000 ejects a backend whose
+	// attempts are running 4x their intrinsic cost.
+	dilationPermille = 4000
+	// alphaNum/alphaDen is the EWMA weight for new samples.
+	alphaNum, alphaDen = 1, 8
+)
 
 // OutlierConfig parameterises the ejector. Zero values get defaults.
 type OutlierConfig struct {
-	// ErrPermille ejects when the error-rate EWMA (errors per attempt,
-	// in permille) crosses it. Default 300.
-	ErrPermille int `json:"err_permille"`
-
-	// DilationPermille ejects when the latency-dilation EWMA crosses
-	// it. A sample's dilation is observed/intrinsic in permille, so
-	// 1000 is "exactly as expected"; the default 4000 ejects a backend
-	// whose attempts are running 4x their intrinsic cost.
-	DilationPermille int `json:"dilation_permille"`
-
 	// MinSamples gates ejection until the EWMA has seen this many
 	// attempts since (re)instatement, so one unlucky request cannot
 	// eject a healthy backend. Default 16.
@@ -46,28 +48,14 @@ type OutlierConfig struct {
 	// Cooldown is how long (virtual cycles) an ejected backend stays
 	// out of the candidate set. Default 200_000.
 	Cooldown uint64 `json:"cooldown"`
-
-	// AlphaNum/AlphaDen is the EWMA weight for new samples. Default
-	// 1/8.
-	AlphaNum int `json:"alpha_num"`
-	AlphaDen int `json:"alpha_den"`
 }
 
 func (c OutlierConfig) withDefaults() OutlierConfig {
-	if c.ErrPermille <= 0 {
-		c.ErrPermille = 300
-	}
-	if c.DilationPermille <= 0 {
-		c.DilationPermille = 4000
-	}
 	if c.MinSamples <= 0 {
 		c.MinSamples = 16
 	}
 	if c.Cooldown == 0 {
 		c.Cooldown = 200_000
-	}
-	if c.AlphaDen <= 0 || c.AlphaNum <= 0 || c.AlphaNum >= c.AlphaDen {
-		c.AlphaNum, c.AlphaDen = 1, 8
 	}
 	return c
 }
@@ -117,9 +105,9 @@ func (e *Ejector) Ejected(idx int, now uint64) bool {
 	return now < e.bk[idx].until
 }
 
-// ewma folds a sample in with weight AlphaNum/AlphaDen.
-func (e *Ejector) ewma(old, sample int) int {
-	return (old*(e.cfg.AlphaDen-e.cfg.AlphaNum) + sample*e.cfg.AlphaNum) / e.cfg.AlphaDen
+// ewma folds a sample in with weight alphaNum/alphaDen.
+func ewma(old, sample int) int {
+	return (old*(alphaDen-alphaNum) + sample*alphaNum) / alphaDen
 }
 
 // Observe records one finished attempt against backend idx: failed
@@ -140,9 +128,9 @@ func (e *Ejector) Observe(idx int, now uint64, failed bool, dilPermille int) {
 	if failed {
 		errSample = 1000
 	} else {
-		h.dilEwma = e.ewma(h.dilEwma, dilPermille)
+		h.dilEwma = ewma(h.dilEwma, dilPermille)
 	}
-	h.errEwma = e.ewma(h.errEwma, errSample)
+	h.errEwma = ewma(h.errEwma, errSample)
 	h.samples++
 	h.row.ErrEWMA = h.errEwma
 	h.row.DilationEWMA = h.dilEwma
@@ -151,9 +139,9 @@ func (e *Ejector) Observe(idx int, now uint64, failed bool, dilPermille int) {
 	}
 	cause := ""
 	switch {
-	case h.errEwma > e.cfg.ErrPermille:
+	case h.errEwma > errPermille:
 		cause = "error_rate"
-	case h.dilEwma > e.cfg.DilationPermille:
+	case h.dilEwma > dilationPermille:
 		cause = "dilation"
 	default:
 		return
@@ -185,11 +173,4 @@ func (e *Ejector) Ejections() int {
 		n += e.bk[i].row.Ejections
 	}
 	return n
-}
-
-// String renders the config for debug output.
-func (c OutlierConfig) String() string {
-	c = c.withDefaults()
-	return fmt.Sprintf("err>%d‰ or dilation>%d‰ after %d samples, cooldown %d",
-		c.ErrPermille, c.DilationPermille, c.MinSamples, c.Cooldown)
 }

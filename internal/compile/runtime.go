@@ -18,24 +18,6 @@ const (
 	JmpBufSize = 112 // rounded to 16
 )
 
-// SetjmpLabel returns the function a program should call for setjmp
-// under this image's scheme: the PACStack wrapper binds the buffer to
-// the current ACS state, other schemes use the plain implementation.
-func (img *Image) SetjmpLabel() string {
-	if img.Scheme == SchemePACStack || img.Scheme == SchemePACStackNoMask {
-		return "__setjmp_wrapper"
-	}
-	return "__setjmp"
-}
-
-// LongjmpLabel is the counterpart of SetjmpLabel.
-func (img *Image) LongjmpLabel() string {
-	if img.Scheme == SchemePACStack || img.Scheme == SchemePACStackNoMask {
-		return "__longjmp_wrapper"
-	}
-	return "__longjmp"
-}
-
 func (c *compiler) emitStart(entry string) {
 	c.b.Label("_start")
 	// Shadow stack base for X18; harmless under other schemes.

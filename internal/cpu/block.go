@@ -61,9 +61,6 @@ func SetBlockCompile(on bool) (restore func()) {
 	return func() { blockCompileOff.Store(!prev) }
 }
 
-// BlockCompileEnabled reports whether the block engine is active.
-func BlockCompileEnabled() bool { return !blockCompileOff.Load() }
-
 // maxBlockUops caps superblock length: long enough to amortize
 // dispatch over whole scheduler quanta, short enough to bound the
 // rebuild cost after an invalidation.

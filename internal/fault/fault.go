@@ -175,8 +175,6 @@ type Campaign struct {
 	// Budget is the per-run instruction watchdog; 0 derives it from
 	// the golden run (4x its length).
 	Budget uint64
-	// SmashWords is the overwrite length for KindStackSmash; 0 means 8.
-	SmashWords int
 }
 
 // Report is the classified result of one (scheme, campaign) pair.
@@ -200,14 +198,6 @@ func (r Report) SilentRate() float64 {
 		return 0
 	}
 	return float64(r.Silent) / float64(r.Trials)
-}
-
-// DetectedRate is the fraction of trials killed.
-func (r Report) DetectedRate() float64 {
-	if r.Trials == 0 {
-		return 0
-	}
-	return float64(r.Detected) / float64(r.Trials)
 }
 
 // golden is the reference run of one scheme.
@@ -389,7 +379,6 @@ func (e *Engine) Run(s compile.Scheme, c Campaign) (Report, error) {
 		inj := &injector{
 			engine: e, img: img, proc: proc, task: proc.Tasks[0],
 			kind: c.Kind, at: idx, rng: rng,
-			smashWords: c.SmashWords,
 		}
 		inj.arm()
 		runErr := proc.Run(budget)
@@ -468,16 +457,19 @@ func causeOf(err error) Cause {
 	return CauseOther
 }
 
+// smashWords is how many stack words a KindStackSmash overwrites,
+// upward from SP.
+const smashWords = 8
+
 // injector holds one trial's armed corruption.
 type injector struct {
-	engine     *Engine
-	img        *compile.Image
-	proc       *kernel.Process
-	task       *kernel.Task
-	kind       Kind
-	at         uint64
-	rng        *rand.Rand
-	smashWords int
+	engine *Engine
+	img    *compile.Image
+	proc   *kernel.Process
+	task   *kernel.Task
+	kind   Kind
+	at     uint64
+	rng    *rand.Rand
 
 	fired bool
 }
@@ -515,13 +507,9 @@ func (inj *injector) inject(m *cpu.Machine) error {
 		}
 
 	case KindStackSmash:
-		n := inj.smashWords
-		if n <= 0 {
-			n = 8
-		}
 		top := inj.img.Layout.StackTop()
 		sp := m.Reg(isa.SP)
-		for i := 0; i < n; i++ {
+		for i := 0; i < smashWords; i++ {
 			addr := sp + uint64(8*i)
 			if addr >= top {
 				break

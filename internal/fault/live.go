@@ -44,8 +44,6 @@ type Injection struct {
 	// the corruption lands (between instructions, like a concurrent
 	// attacker's write).
 	At uint64
-	// SmashWords is the overwrite length for KindStackSmash; 0 means 8.
-	SmashWords int
 }
 
 // Arm installs inj on proc's initial task. proc must have been booted
@@ -65,7 +63,6 @@ func (e *Engine) Arm(proc *kernel.Process, s compile.Scheme, inj Injection, rng 
 	in := &injector{
 		engine: e, img: img, proc: proc, task: proc.Tasks[0],
 		kind: inj.Kind, at: inj.At, rng: rng,
-		smashWords: inj.SmashWords,
 	}
 	in.arm()
 	return nil

@@ -157,11 +157,6 @@ func (b *Builder) Emit(ins ...Instr) {
 	b.instrs = append(b.instrs, ins...)
 }
 
-// Here returns the address the next emitted instruction will have.
-func (b *Builder) Here() uint64 {
-	return b.base + uint64(len(b.instrs))*InstrSize
-}
-
 // Link resolves all labels and returns the Program.
 func (b *Builder) Link() (*Program, error) {
 	p := &Program{

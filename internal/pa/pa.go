@@ -273,9 +273,6 @@ func New(keys Keys, cfg Config) *Authenticator {
 	return a
 }
 
-// Config returns the configuration the Authenticator was built with.
-func (a *Authenticator) Config() Config { return a.cfg }
-
 // PACBits returns the PAC width b in bits.
 func (a *Authenticator) PACBits() int {
 	n := 0

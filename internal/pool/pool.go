@@ -57,8 +57,7 @@ type Config struct {
 	// way: every Reset reseeds.
 	Seed int64
 	// Shards is the free-list shard count; default par.Workers().
-	ShardCap int // free machines kept per shard before overflow; default 4
-	Shards   int
+	Shards int
 	// MaxMachines caps the pool's total machine count; 0 means grow on
 	// demand without bound (Get never fails). When the cap is hit and
 	// every machine is leased, Get returns nil and the caller cold-boots.
@@ -100,14 +99,16 @@ type shard struct {
 	free []*Machine
 }
 
+// shardCap is how many free machines a shard keeps before Put sends
+// the rest to the overflow list.
+const shardCap = 4
+
 // Pool is a warm pool for one (program image, scheme) pair. All
 // methods are safe for concurrent use.
 type Pool struct {
-	cfg Config
-	tel *Telemetry
-
-	mu   sync.RWMutex // guards boot (swapped by Adopt)
-	boot *snap.BootImage
+	cfg  Config
+	tel  *Telemetry
+	boot *snap.BootImage // immutable after New
 
 	shards   []shard
 	overflow shard
@@ -125,9 +126,6 @@ func New(cfg Config) (*Pool, error) {
 	}
 	if cfg.Shards <= 0 {
 		cfg.Shards = par.Workers()
-	}
-	if cfg.ShardCap <= 0 {
-		cfg.ShardCap = 4
 	}
 	if cfg.Tel == nil {
 		cfg.Tel = &Telemetry{}
@@ -155,32 +153,11 @@ func New(cfg Config) (*Pool, error) {
 	}, nil
 }
 
-// Image returns the pool's current boot image.
-func (p *Pool) Image() *snap.BootImage {
-	p.mu.RLock()
-	defer p.mu.RUnlock()
-	return p.boot
-}
-
-// Adopt replaces the pool's boot image — the migration path: a
-// survivor backend re-pools the boot image shipped from a dead
-// backend. The image must be taken from the pool's program; pooled
-// machines pick the new image up on their next Reset.
-func (p *Pool) Adopt(bi *snap.BootImage) error {
-	if err := bi.VerifyProgram(p.cfg.Img.Prog); err != nil {
-		return fmt.Errorf("pool: adopting foreign image: %w", err)
-	}
-	p.mu.Lock()
-	p.boot = bi
-	p.mu.Unlock()
-	return nil
-}
+// Image returns the pool's boot image.
+func (p *Pool) Image() *snap.BootImage { return p.boot }
 
 // Tel returns the pool's telemetry handle block.
 func (p *Pool) Tel() *Telemetry { return p.tel }
-
-// Size reports how many machines the pool has ever created.
-func (p *Pool) Size() int { return int(p.created.Load()) }
 
 // Get leases a machine: own shard first, then the overflow list, then
 // work stealing across the other shards, then growth (uncapped pools
@@ -240,7 +217,7 @@ func (p *Pool) grow(shardIdx int) (*Machine, error) {
 	return &Machine{K: k, Proc: proc, shard: shardIdx}, nil
 }
 
-// Put returns a leased machine: home shard up to ShardCap, overflow
+// Put returns a leased machine: home shard up to shardCap, overflow
 // beyond.
 func (p *Pool) Put(m *Machine) {
 	if m == nil {
@@ -249,7 +226,7 @@ func (p *Pool) Put(m *Machine) {
 	p.tel.Occupancy.Add(-1)
 	sh := &p.shards[m.shard]
 	sh.mu.Lock()
-	if len(sh.free) < p.cfg.ShardCap {
+	if len(sh.free) < shardCap {
 		sh.free = append(sh.free, m)
 		sh.mu.Unlock()
 		return
@@ -288,11 +265,7 @@ func (s *shard) pop() *Machine {
 // boot image's (§4.3): a restore that still holds the image keys is
 // refused and counted in pacstack_pool_key_violations_total.
 func (p *Pool) Reset(m *Machine) (*kernel.Process, error) {
-	p.mu.RLock()
-	bi := p.boot
-	p.mu.RUnlock()
-
-	if err := bi.Restore(m.Proc); err != nil {
+	if err := p.boot.Restore(m.Proc); err != nil {
 		return nil, fmt.Errorf("pool: warm restore: %w", err)
 	}
 	m.Proc.ReseedKeys()
@@ -304,7 +277,7 @@ func (p *Pool) Reset(m *Machine) (*kernel.Process, error) {
 	}
 	p.tel.Restores.Inc()
 
-	if m.Proc.HasKeys(bi.Keys()) {
+	if m.Proc.HasKeys(p.boot.Keys()) {
 		p.tel.KeyViolations.Inc()
 		return nil, fmt.Errorf("pool: warm restore shares keys with the boot image (§4.3 violation)")
 	}

@@ -191,29 +191,3 @@ func TestReuseStaysGolden(t *testing.T) {
 		}
 	}
 }
-
-// TestAdopt: re-pooling a shipped boot image (the migration path)
-// swaps the probe keys too — resets against the adopted image stay
-// fresh and golden.
-func TestAdopt(t *testing.T) {
-	pl, img := newChainPool(t, pool.Config{Seed: 3})
-	donor, _ := newChainPool(t, pool.Config{Seed: 99})
-	if err := pl.Adopt(donor.Image()); err != nil {
-		t.Fatal(err)
-	}
-	m := pl.Get()
-	m.K.Seed(55)
-	p, err := pl.Reset(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	imgAuth := pa.New(donor.Image().Keys(), kernel.New(pa.DefaultConfig()).Config())
-	sealed := imgAuth.AddPAC(pa.KeyIA, 0x10040, 0xfeed)
-	if _, ok := p.Auth.Auth(pa.KeyIA, sealed, 0xfeed); ok {
-		t.Fatal("reset against adopted image still authenticates its image keys")
-	}
-	if err := p.Run(1 << 20); err != nil {
-		t.Fatalf("adopted-image replay killed: %v", err)
-	}
-	_ = img
-}

@@ -3,31 +3,27 @@ package resilience
 import (
 	"context"
 	"sync"
-	"sync/atomic"
 )
 
 // Admission is the bounded front door of a worker pool: at most
-// Limit() requests execute at once, at most `queue` more wait, and
+// `limit` requests execute at once, at most `queue` more wait, and
 // everything beyond that is shed immediately (ErrShed — the HTTP layer
 // turns it into a 429). Close flips the door shut for graceful drain:
 // new arrivals get ErrDraining, waiters are rejected, and Drain blocks
 // until every admitted request has released its slot — the "no
 // in-flight request lost" half of a clean shutdown.
 //
-// The limit is dynamic: SetLimit resizes the pool mid-flight, which is
-// the hook an adaptive overload controller (see AIMD) needs. Growing
-// the limit wakes queued waiters immediately; shrinking it never
-// cancels already-admitted work — the pool just stops admitting until
-// enough releases bring it under the new limit.
+// Both bounds are fixed at construction. The adaptive overload
+// controller (AIMD) runs only in the virtual-time soaks, which resize
+// their replay's own worker count; the live server never resizes.
 type Admission struct {
 	mu      sync.Mutex
-	limit   int       // worker slots (dynamic)
-	queue   int       // max queued waiters (static)
+	limit   int       // worker slots
+	queue   int       // max queued waiters
 	active  int       // admitted, not yet released
 	waiters []*waiter // FIFO; grant order is arrival order
 
 	closed    bool
-	sheds     atomic.Uint64
 	drainOnce sync.Once
 	drained   chan struct{} // closed when closed && active == 0
 }
@@ -79,7 +75,6 @@ func (a *Admission) Acquire(ctx context.Context) error {
 	}
 	if len(a.waiters) >= a.queue {
 		a.mu.Unlock()
-		a.sheds.Add(1)
 		return ErrShed
 	}
 	w := &waiter{done: make(chan struct{})}
@@ -125,41 +120,14 @@ func (a *Admission) releaseLocked() {
 		}
 		return
 	}
-	a.grantLocked()
-}
-
-// grantLocked hands free slots to queued waiters in FIFO order.
-func (a *Admission) grantLocked() {
-	for a.active < a.limit && len(a.waiters) > 0 {
+	// Hand the freed slot to the oldest waiter.
+	if len(a.waiters) > 0 {
 		w := a.waiters[0]
 		a.waiters = a.waiters[1:]
 		w.granted = true
 		a.active++
 		close(w.done)
 	}
-}
-
-// SetLimit resizes the worker pool mid-flight (clamped to >= 1).
-// Growing wakes queued waiters at once; shrinking never cancels
-// admitted work — active stays above the new limit until enough
-// Releases catch up, and no new admissions happen meanwhile.
-func (a *Admission) SetLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	a.mu.Lock()
-	a.limit = n
-	if !a.closed {
-		a.grantLocked()
-	}
-	a.mu.Unlock()
-}
-
-// Limit returns the current worker limit.
-func (a *Admission) Limit() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.limit
 }
 
 // InFlight returns how many admitted requests have not yet released.
@@ -175,9 +143,6 @@ func (a *Admission) Queued() int {
 	defer a.mu.Unlock()
 	return len(a.waiters)
 }
-
-// Sheds returns how many requests have been load-shed.
-func (a *Admission) Sheds() uint64 { return a.sheds.Load() }
 
 // Close stops admitting: subsequent Acquires (and queued waiters)
 // fail with ErrDraining. Admitted requests are unaffected.

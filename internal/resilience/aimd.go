@@ -15,8 +15,8 @@ import "sync"
 // Decision rule per window, evaluated at Tick:
 //
 //   - congested — more than BadNum/BadDen of the window's completions
-//     exceeded LatencyTarget: multiplicative decrease
-//     (limit = limit*DecreaseNum/DecreaseDen, clamped to Min).
+//     exceeded LatencyTarget: multiplicative decrease (the limit
+//     halves, clamped to Min).
 //   - else saturated — the pool hit the limit or shed at least once:
 //     additive increase (limit += Step, clamped to Max). Saturation
 //     gates the probe so an idle pool does not drift to Max.
@@ -50,9 +50,7 @@ type AIMDConfig struct {
 	Min   int // floor (default 1)
 	Max   int // ceiling (default 64)
 
-	Step        int // additive increase per saturated healthy window (default 1)
-	DecreaseNum int // multiplicative decrease numerator (default 1)
-	DecreaseDen int // multiplicative decrease denominator (default 2)
+	Step int // additive increase per saturated healthy window (default 1)
 
 	LatencyTarget uint64 // a completion above this is "over" (required for decreases)
 	BadNum        int    // window is congested when over/samples > BadNum/BadDen
@@ -86,12 +84,6 @@ func NewAIMD(cfg AIMDConfig) *AIMD {
 	}
 	if cfg.Step < 1 {
 		cfg.Step = 1
-	}
-	if cfg.DecreaseNum < 1 {
-		cfg.DecreaseNum = 1
-	}
-	if cfg.DecreaseDen <= cfg.DecreaseNum {
-		cfg.DecreaseNum, cfg.DecreaseDen = 1, 2
 	}
 	if cfg.BadDen < 1 {
 		cfg.BadNum, cfg.BadDen = 1, 10
@@ -144,10 +136,7 @@ func (c *AIMD) Tick() int {
 
 	switch {
 	case congested:
-		next := c.limit * c.cfg.DecreaseNum / c.cfg.DecreaseDen
-		if next >= c.limit { // degenerate ratio must still back off
-			next = c.limit - 1
-		}
+		next := c.limit / 2
 		if next < c.cfg.Min {
 			next = c.cfg.Min
 		}
@@ -185,9 +174,6 @@ func (c *AIMD) Limit() int {
 
 // Interval returns the advisory tick cadence from the config.
 func (c *AIMD) Interval() uint64 { return c.cfg.Interval }
-
-// LatencyTarget returns the congestion threshold from the config.
-func (c *AIMD) LatencyTarget() uint64 { return c.cfg.LatencyTarget }
 
 // Stats returns the controller's trajectory so far.
 func (c *AIMD) Stats() AIMDStats {

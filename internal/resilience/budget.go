@@ -105,6 +105,3 @@ func (b *RetryBudget) Stats() RetryBudgetStats {
 func (b *RetryBudget) Bound(primaries int) int {
 	return primaries*b.cfg.Num/b.cfg.Den + b.cfg.Burst
 }
-
-// Config returns the (defaulted) configuration.
-func (b *RetryBudget) Config() RetryBudgetConfig { return b.cfg }

@@ -27,7 +27,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -411,19 +410,6 @@ func ResolveProgram(name string, extra map[string]*ir.Program) (*ir.Program, err
 	return nil, &BadRequestError{Reason: fmt.Sprintf("unknown workload %q", name)}
 }
 
-// Workloads lists the names the server accepts, sorted.
-func (s *Server) Workloads() []string {
-	names := []string{"chain", "nginx"}
-	for _, b := range workload.SPEC {
-		names = append(names, b.Name)
-	}
-	for n := range s.cfg.Programs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // breaker returns the scheme's circuit breaker, or nil when disabled.
 func (s *Server) breaker(sc compile.Scheme) *resilience.Breaker {
 	if s.cfg.BreakerThreshold < 0 {
@@ -715,72 +701,11 @@ func (s *Server) pool(workloadName string, sc compile.Scheme) (*pool.Pool, error
 	return built, nil
 }
 
-// BootImage returns the warm pool's encoded boot image for the
-// (workload, scheme) pair — what cluster migration ships so the
-// survivor can re-pool it. Only meaningful on a warm server.
-func (s *Server) BootImage(workloadName, schemeStr string) ([]byte, error) {
-	sc, err := ParseScheme(schemeStr)
-	if err != nil {
-		return nil, err
-	}
-	pl, err := s.pool(workloadName, sc)
-	if err != nil {
-		return nil, err
-	}
-	return pl.Image().Bytes(), nil
-}
-
-// AdoptBootImage re-pools a shipped encoded boot image (the cluster
-// migration path): the (workload, scheme) pool verifies the image
-// against its program and serves later restores from it. A no-op on a
-// cold server.
-func (s *Server) AdoptBootImage(workloadName, schemeStr string, raw []byte) error {
-	if !s.cfg.Warm {
-		return nil
-	}
-	sc, err := ParseScheme(schemeStr)
-	if err != nil {
-		return err
-	}
-	bi, err := snap.NewBootImage(raw)
-	if err != nil {
-		return err
-	}
-	pl, err := s.pool(workloadName, sc)
-	if err != nil {
-		return err
-	}
-	return pl.Adopt(bi)
-}
-
 // PoolStats reads the warm-pool counters from the registry: restores
 // served, cold fallbacks, key violations, and current occupancy.
 func (s *Server) PoolStats() (restores, coldFallbacks, keyViolations uint64, occupancy int64) {
 	return s.m.pool.Restores.Value(), s.m.pool.ColdFallback.Value(),
 		s.m.pool.KeyViolations.Value(), s.m.pool.Occupancy.Value()
-}
-
-// DoBatch executes a batch of requests across the internal/par worker
-// pool and returns per-request results and errors (indexed like reqs).
-// This is the batched execution path the warm pool is shaped for: each
-// worker leases a machine from its own shard, restores it, and runs
-// the victim in StepN quanta, so the trace-compiled engine's dispatch
-// and the pool's lease cost amortize across the queued batch instead
-// of being paid per call.
-func (s *Server) DoBatch(ctx context.Context, reqs []Request) ([]*Result, []error) {
-	results := make([]*Result, len(reqs))
-	errs := make([]error, len(reqs))
-	if err := par.ForEachCtx(ctx, len(reqs), func(i int) error {
-		results[i], errs[i] = s.Do(ctx, reqs[i])
-		return nil
-	}); err != nil {
-		for i := range errs {
-			if errs[i] == nil && results[i] == nil {
-				errs[i] = err
-			}
-		}
-	}
-	return results, errs
 }
 
 // BeginDrain stops admitting new requests (the SIGTERM path's first

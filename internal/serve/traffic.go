@@ -19,10 +19,10 @@
 //   - An adaptive admission loop. With SoakConfig.Adaptive set, a
 //     clock-free resilience.AIMD controller ticks every Interval
 //     virtual cycles and resizes the worker limit (queue follows at
-//     2x) from the window's shed/occupancy/dilation signals — growing
-//     never cancels anything, shrinking only stops new admissions
-//     until completions catch up, exactly the Admission.SetLimit
-//     contract the live server exposes.
+//     2x) from the window's shed/occupancy/dilation signals. Growing
+//     never cancels anything; shrinking only stops new admissions
+//     until completions catch up. The replay resizes its own worker
+//     count: the live server's admission gate is fixed-size.
 //
 // The controller's congestion signal is the SERVICE duration (with
 // the contention penalty), not end-to-end latency: queueing delay is

@@ -16,8 +16,6 @@
 package snap
 
 import (
-	"fmt"
-
 	"pacstack/internal/isa"
 	"pacstack/internal/kernel"
 	"pacstack/internal/pa"
@@ -28,24 +26,7 @@ import (
 // restore and must never be mutated; all mutation happens in the
 // per-machine copies Restore makes.
 type BootImage struct {
-	raw  []byte
-	meta ImageMeta
-	cp   *kernel.Checkpoint
-}
-
-// NewBootImage decodes and validates an encoded snapshot image once,
-// returning the restore-many handle. The raw bytes are copied, so the
-// caller's buffer may be reused.
-func NewBootImage(raw []byte) (*BootImage, error) {
-	cp, meta, err := Decode(raw)
-	if err != nil {
-		return nil, err
-	}
-	return &BootImage{
-		raw:  append([]byte(nil), raw...),
-		meta: *meta,
-		cp:   cp,
-	}, nil
+	cp *kernel.Checkpoint
 }
 
 // EncodeBootImage checkpoints the process and round-trips it through
@@ -57,37 +38,17 @@ func EncodeBootImage(p *kernel.Process, prog *isa.Program) (*BootImage, error) {
 	if err != nil {
 		return nil, err
 	}
-	return NewBootImage(raw)
+	cp, _, err := Decode(raw)
+	if err != nil {
+		return nil, err
+	}
+	return &BootImage{cp: cp}, nil
 }
-
-// Bytes returns a copy of the encoded image — what migration ships to
-// a survivor backend, which re-pools it with NewBootImage.
-func (bi *BootImage) Bytes() []byte { return append([]byte(nil), bi.raw...) }
-
-// Meta returns the image's program identity (base, CRC).
-func (bi *BootImage) Meta() ImageMeta { return bi.meta }
-
-// Pages returns the mapped page count of the checkpointed address
-// space — the input to the virtual-time boot-cost model.
-func (bi *BootImage) Pages() int { return len(bi.cp.Pages) }
 
 // Keys returns the PA key set frozen in the image. A warm restore
 // MUST NOT serve under these keys (PACStack §4.3: every incarnation
 // draws fresh keys); the pool probes each reset against them.
 func (bi *BootImage) Keys() pa.Keys { return bi.cp.Keys }
-
-// VerifyProgram checks that the image was taken from prog (CRC over
-// the symbolic program), the same identity check Store.Recover makes.
-func (bi *BootImage) VerifyProgram(prog *isa.Program) error {
-	crc, err := ProgramCRC(prog)
-	if err != nil {
-		return err
-	}
-	if crc != bi.meta.ProgCRC {
-		return fmt.Errorf("%w: image program CRC %016x does not match %016x", ErrCorrupt, bi.meta.ProgCRC, crc)
-	}
-	return nil
-}
 
 // Restore overwrites p with the image's checkpoint. p must be a
 // booted process from the same program image (kernel.Process.Restore's

@@ -101,13 +101,6 @@ func (m *MemFS) Heal() {
 	m.crashed = false
 }
 
-// Crashed reports whether an armed crash has fired.
-func (m *MemFS) Crashed() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.crashed
-}
-
 // Spent returns the cumulative budget units applied so far; the
 // crash matrix measures a commit's total cost by diffing it across a
 // dry run, so the crash-point enumeration never hardcodes the

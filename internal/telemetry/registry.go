@@ -381,19 +381,6 @@ func (r *Registry) Gauge(name, help string) *Gauge {
 	return r.lookup(name, help, kindGauge, nil, nil).with(nil).gauge
 }
 
-// GaugeFunc registers a gauge whose value is read at Gather time —
-// for externally owned values like queue depths. fn must be safe for
-// concurrent use.
-func (r *Registry) GaugeFunc(name, help string, fn func() int64) {
-	if r == nil {
-		return
-	}
-	f := r.lookup(name, help, kindGaugeFunc, nil, nil)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.series[""] = &series{fn: fn}
-}
-
 // GaugeFuncWith registers a labeled gather-time gauge — one series of
 // a labeled family whose value is read from fn at every Gather. Used
 // for externally owned per-instance values (e.g. per-backend in-flight

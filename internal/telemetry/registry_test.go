@@ -114,7 +114,7 @@ func TestNilHandles(t *testing.T) {
 	r.Gauge("g", "").Set(3)
 	r.Histogram("h", "", []uint64{1}).Observe(9)
 	r.HistogramVec("hv", "", []uint64{1}, "l").With("v").Observe(9)
-	r.GaugeFunc("gf", "", func() int64 { return 1 })
+	r.GaugeFuncWith("gf", "", []string{"l"}, []string{"v"}, func() int64 { return 1 })
 	r.SetClock(func() uint64 { return 1 })
 	if r.Now() != 0 {
 		t.Error("nil registry clock read non-zero")

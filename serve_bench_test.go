@@ -4,20 +4,22 @@
 // BenchmarkServeWarmRPS serves the identical request stream from the
 // snapshot-fork pools (internal/pool), restoring a pooled machine from
 // the in-memory boot image and re-seeding its PA keys per request.
-// Both push batches through Server.DoBatch so the pool's per-shard
-// leases and the parallel worker pool amortize the way the daemon's
-// traffic does. bench.sh records the pair (and their ratio) in
-// BENCH_<n>.json.
+// Both fan each batch out over the internal/par worker pool with
+// par.ForEachErr, so the pool's per-shard leases amortize the way the
+// daemon's concurrent traffic does. bench.sh records the pair (and
+// their ratio) in BENCH_<n>.json.
 package pacstack
 
 import (
 	"context"
+	"errors"
 	"testing"
 
+	"pacstack/internal/par"
 	"pacstack/internal/serve"
 )
 
-// serveBatch is one DoBatch's worth of requests. Large enough that
+// serveBatch is one fan-out's worth of requests. Large enough that
 // lease/queue costs amortize, small enough that b.N iterations stay
 // responsive.
 const serveBatch = 64
@@ -30,24 +32,20 @@ func benchServeRPS(b *testing.B, warm bool) {
 		Seed:    1,
 		Warm:    warm,
 	})
-	reqs := make([]serve.Request, serveBatch)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range reqs {
-			reqs[j] = serve.Request{
+		if err := par.ForEachErr(serveBatch, func(j int) error {
+			res, err := s.Do(context.Background(), serve.Request{
 				Workload: "chain",
 				Scheme:   "pacstack",
 				Seed:     int64(i*serveBatch+j) + 1,
+			})
+			if err == nil && res == nil {
+				err = errors.New("no result")
 			}
-		}
-		results, errs := s.DoBatch(context.Background(), reqs)
-		for j, err := range errs {
-			if err != nil {
-				b.Fatalf("request %d: %v", j, err)
-			}
-			if results[j] == nil {
-				b.Fatalf("request %d: no result", j)
-			}
+			return err
+		}); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
