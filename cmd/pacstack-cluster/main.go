@@ -36,7 +36,10 @@
 // ejection, priority brownout and vertical core scaling
 // (-vertical-max) — all switched on together by -resilient. The
 // report gains the per-class SLO evaluation (-slo-report writes it as
-// JSON) and stays byte-identical across -par widths.
+// JSON) and stays byte-identical across -par widths. The model decides
+// arrivals and workloads and nothing dies, so -clients, -requests,
+// -workload, -schemes, -migrate-latency and -failover-budget are
+// refused in this mode.
 //
 // With -daemon, it serves the live fleet over HTTP instead:
 //
@@ -51,7 +54,9 @@
 // incarnation's checkpoint from DIR/backend-N at startup, and a final
 // boot-state checkpoint per alive backend is committed there after the
 // SIGTERM drain — the pacstack-serve durability contract, per fleet
-// member.
+// member. -daemon refuses the flags only the soak reads, and the soak
+// refuses the daemon's -cold, -addr, -timeout, -drain-timeout and
+// -state-dir.
 package main
 
 import (
@@ -65,6 +70,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"strings"
 	"syscall"
@@ -126,6 +132,11 @@ func main() {
 	drainWait := flag.Duration("drain-timeout", 30*time.Second, "shutdown drain deadline (daemon)")
 	stateDir := flag.String("state-dir", "", "per-backend on-disk snapshot stores (daemon); recovered at startup, final checkpoints committed on graceful shutdown")
 	flag.Parse()
+	var given []string
+	flag.Visit(func(f *flag.Flag) { given = append(given, f.Name) })
+	if err := modeError(given, *daemon, *trafficMode != ""); err != nil {
+		log.Fatal(err)
+	}
 
 	kinds, err := serve.ParseKinds(*chaosKinds)
 	if err != nil {
@@ -289,6 +300,34 @@ func main() {
 			os.Exit(1)
 		}
 	}
+}
+
+// Flags that one mode reads and the others would ignore.
+var (
+	daemonOnly = []string{"cold", "addr", "timeout", "drain-timeout", "state-dir"}
+	soakOnly   = []string{"clients", "requests", "workload", "checkpoint-crash", "retries",
+		"kill-at", "kill-backend", "migrate-latency", "par", "json", "check", "telemetry-dump",
+		"traffic", "cores", "mesh", "mesh-gray", "hedge", "outlier", "brownout", "vertical-max",
+		"resilient", "slo-report"}
+	closedLoopOnly = []string{"clients", "requests", "workload", "schemes", "migrate-latency", "failover-budget"}
+)
+
+// modeError refuses the first flag in given (the names set on the
+// command line) that the selected mode would ignore: a soak flag under
+// -daemon, a daemon flag without it, or a closed-loop flag in a
+// traffic-mode soak.
+func modeError(given []string, daemon, traffic bool) error {
+	for _, name := range given {
+		switch {
+		case daemon && slices.Contains(soakOnly, name):
+			return fmt.Errorf("-%s applies to the soak, not to -daemon", name)
+		case !daemon && slices.Contains(daemonOnly, name):
+			return fmt.Errorf("-%s needs -daemon", name)
+		case !daemon && traffic && slices.Contains(closedLoopOnly, name):
+			return fmt.Errorf("-%s does not apply to a traffic-mode run (-traffic): the model decides arrivals and workloads, and no backend dies", name)
+		}
+	}
+	return nil
 }
 
 // parseKills turns the -kill-at / -kill-backend comma lists into kill

@@ -9,7 +9,8 @@
 // corruption (return-address overwrite, stack smash, signal-frame
 // tamper by default) armed inside their victim process. Detected
 // corruptions surface as typed 502s carrying the kernel post-mortem;
-// the daemon itself never dies.
+// the daemon itself never dies. -chaos-rate and -chaos-kinds are
+// refused without -chaos.
 //
 // Endpoints:
 //
@@ -45,6 +46,7 @@
 // time. -cold disables the pools (the previous per-request boot path);
 // -pool-machines caps pool growth, with leases past the cap falling
 // back to cold boots (counted in pacstack_pool_cold_fallback_total).
+// -pool-machines is refused with -cold.
 package main
 
 import (
@@ -52,6 +54,7 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"log"
 	"net/http"
 	"os"
@@ -87,6 +90,11 @@ func main() {
 	readTimeout := flag.Duration("read-timeout", 15*time.Second, "max time to read a full request including body (0: none)")
 	idleTimeout := flag.Duration("idle-timeout", 120*time.Second, "max keep-alive idle time per connection (0: none)")
 	flag.Parse()
+	var given []string
+	flag.Visit(func(f *flag.Flag) { given = append(given, f.Name) })
+	if err := modeError(given, *chaos, *cold); err != nil {
+		log.Fatal(err)
+	}
 
 	kinds, err := serve.ParseKinds(*chaosKinds)
 	if err != nil {
@@ -202,4 +210,19 @@ func main() {
 		log.Fatalf("exiting with %d requests still in flight", s.InFlight())
 	}
 	log.Printf("drained cleanly")
+}
+
+// modeError refuses the first flag in given (the names set on the
+// command line) that the server would ignore: the chaos knobs without
+// -chaos, and the pool cap when -cold serves without pools.
+func modeError(given []string, chaos, cold bool) error {
+	for _, name := range given {
+		switch {
+		case !chaos && (name == "chaos-rate" || name == "chaos-kinds"):
+			return fmt.Errorf("-%s needs -chaos", name)
+		case cold && name == "pool-machines":
+			return fmt.Errorf("-%s does not apply with -cold: cold serving has no pools", name)
+		}
+	}
+	return nil
 }

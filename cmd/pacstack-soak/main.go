@@ -28,11 +28,11 @@
 // open-loop heavy-tail replay (internal/traffic): a seeded
 // diurnal/burst arrival stream over a production-shaped cost mixture,
 // per-class SLO evaluation appended to the report, and — with
-// -adaptive — the clock-free AIMD controller resizing the admission
-// limit in virtual time. -clients/-requests/-workload are ignored in
-// this mode; the model decides arrivals and workloads. Without
-// -traffic, the open-loop flags (-traffic-*, -burst-factor, -cores,
-// -adaptive*) are refused.
+// -adaptive — the clock-free AIMD controller resizing the replay's
+// worker limit in virtual time. The model decides arrivals and
+// workloads, so -clients, -requests, -workload and -schemes are
+// refused in this mode. Without -traffic, the open-loop flags
+// (-traffic-*, -burst-factor, -cores, -adaptive*) are refused.
 //
 // With -boot-model, machine acquisition is charged in virtual time:
 // "cold" prices every execution at the modeled full-boot cost, "warm"
@@ -115,15 +115,10 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
-	if *trafficMode == "" {
-		// The closed client loop has no model to shape and no admission
-		// controller: refuse the open-loop flags instead of ignoring them.
-		flag.Visit(func(f *flag.Flag) {
-			if strings.HasPrefix(f.Name, "traffic-") || strings.HasPrefix(f.Name, "adaptive") ||
-				f.Name == "burst-factor" || f.Name == "cores" {
-				log.Fatalf("-%s needs a traffic-mode run (-traffic)", f.Name)
-			}
-		})
+	var given []string
+	flag.Visit(func(f *flag.Flag) { given = append(given, f.Name) })
+	if err := modeError(given, *trafficMode != ""); err != nil {
+		log.Fatal(err)
 	}
 
 	if *parWidth > 0 {
@@ -292,4 +287,23 @@ func main() {
 				rep.InFlightAtEnd, rep.Issued-(rep.OK+rep.Detected+rep.Silent+rep.GaveUp))
 		}
 	}
+}
+
+// modeError refuses the first flag in given (the names set on the
+// command line) that the run's mode would ignore. The closed client
+// loop has no model to shape and no admission controller; an open-loop
+// run takes its arrivals and workloads from the model.
+func modeError(given []string, traffic bool) error {
+	for _, name := range given {
+		openLoop := strings.HasPrefix(name, "traffic-") || strings.HasPrefix(name, "adaptive") ||
+			name == "burst-factor" || name == "cores"
+		closedLoop := name == "clients" || name == "requests" || name == "workload" || name == "schemes"
+		switch {
+		case openLoop && !traffic:
+			return fmt.Errorf("-%s needs a traffic-mode run (-traffic)", name)
+		case closedLoop && traffic:
+			return fmt.Errorf("-%s does not apply to a traffic-mode run (-traffic): the model decides arrivals and workloads", name)
+		}
+	}
+	return nil
 }
