@@ -261,8 +261,26 @@ func (c soakCell) run(t *testing.T) soakOutputs {
 // TestSoakGoldens pins every cell's outputs against testdata/soak at
 // precompute widths 1 and 8: a refactor of the replay must keep them
 // byte-identical, and a deliberate behaviour change re-records them
-// with -update.
+// with -update. Every file there must belong to a cell, so a renamed
+// or deleted cell cannot leave its stale pins behind.
 func TestSoakGoldens(t *testing.T) {
+	owned := map[string]bool{}
+	for _, c := range soakCells {
+		owned[c.name+".report.json"], owned[c.name+".telemetry.json"] = true, true
+		if c.serveCfg != nil && c.serveCfg().Traffic != nil || c.clusterCfg != nil && c.clusterCfg().Traffic != nil {
+			owned[c.name+".slo.json"] = true
+		}
+	}
+	files, err := os.ReadDir(filepath.Join("testdata", "soak"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if !owned[f.Name()] {
+			t.Errorf("testdata/soak/%s belongs to no cell", f.Name())
+		}
+	}
+
 	for _, c := range soakCells {
 		c := c
 		t.Run(c.name, func(t *testing.T) {
