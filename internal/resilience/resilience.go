@@ -16,7 +16,6 @@
 //     graceful drain — the front door of the worker pool.
 //   - Protect: per-request panic isolation, converting a panicking
 //     handler into a typed error instead of process death.
-//   - Retry: context-aware retry driving a Backoff.
 //
 // Nothing here knows about PACStack; the package is plain Go so the
 // state machines are reusable and independently testable.
