@@ -34,9 +34,9 @@ type Telemetry struct {
 	// Spawns counts task creations via SysSpawn — under ACS schemes
 	// each one re-seeds the chain register (Section 4.3).
 	Spawns *telemetry.Counter
-	// Chain, when non-nil, is attached to every new process'
-	// Authenticator (NewProcess and Exec), so pac/aut/mask traffic
-	// lands in the registry.
+	// Chain, when non-nil, is attached to every Authenticator the
+	// kernel builds (NewProcess, Exec, Restore and ReseedKeys), so
+	// pac/aut/mask traffic lands in the registry.
 	Chain *pa.Trace
 	// Events receives kill / sigframe-bind / reseed events.
 	Events *telemetry.EventLog
