@@ -31,6 +31,7 @@ import (
 
 	"pacstack/internal/cpu"
 	"pacstack/internal/isa"
+	"pacstack/internal/lazyrand"
 	"pacstack/internal/mem"
 	"pacstack/internal/pa"
 	"pacstack/internal/telemetry"
@@ -81,7 +82,17 @@ func (k *Kernel) Config() pa.Config { return k.cfg }
 // that must replay exactly (fault campaigns, the reproducibility
 // audit) seed their kernels; everything else keeps cryptographic
 // entropy.
-func (k *Kernel) Seed(seed int64) { k.rng = mrand.New(mrand.NewSource(seed)) }
+//
+// The stream is rand.NewSource(seed)'s. A kernel keeps its source
+// across Seed calls, and the source builds its state lazily, so
+// re-seeding a pooled machine's kernel per request is cheap.
+func (k *Kernel) Seed(seed int64) {
+	if k.rng == nil {
+		k.rng = mrand.New(lazyrand.New(seed))
+		return
+	}
+	k.rng.Seed(seed)
+}
 
 // Seeded reports whether the kernel draws deterministic entropy.
 func (k *Kernel) Seeded() bool { return k.rng != nil }

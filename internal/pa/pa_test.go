@@ -481,3 +481,87 @@ func TestAddPACPairMatchesTwoSeals(t *testing.T) {
 		t.Errorf("event streams diverged: pair %d events, serial %d events", len(pe.Events), len(se.Events))
 	}
 }
+
+// TestRecycledMemoNeverHitsAcrossKeySets hands one memo table down a
+// line of incarnations whose keys alternate between two sets and
+// repeat, and checks each incarnation against an Authenticator over a
+// fresh table: the same seals, the same authentications and the same
+// memo hit and miss counts.
+func TestRecycledMemoNeverHitsAcrossKeySets(t *testing.T) {
+	keysA, keysB := testKeys(), GenerateKeysFrom(mrand.New(mrand.NewSource(0xBCC)))
+	rng := mrand.New(mrand.NewSource(3))
+	type q struct {
+		key    KeyID
+		p, mod uint64
+	}
+	queries := make([]q, 300)
+	for i := range queries {
+		queries[i] = q{KeyID(rng.Intn(int(numKeys))), rng.Uint64() & 0x7F_FFFF_FFF0, rng.Uint64() % 64}
+	}
+	traced := func(a *Authenticator) *Trace {
+		reg := telemetry.NewRegistry()
+		tr := &Trace{MemoHit: reg.Counter("hit", ""), MemoMiss: reg.Counter("miss", "")}
+		a.SetTrace(tr)
+		return tr
+	}
+	var prev *Authenticator
+	for inc, keys := range []Keys{keysA, keysB, keysA, keysA, keysB} {
+		rec, fresh := NewFrom(prev, keys, DefaultConfig()), New(keys, DefaultConfig())
+		if prev != nil && rec.memo != prev.memo {
+			t.Fatal("NewFrom allocated a table instead of taking over its predecessor's")
+		}
+		trR, trF := traced(rec), traced(fresh)
+		for pass := 0; pass < 2; pass++ {
+			for i, qu := range queries {
+				got, want := rec.AddPAC(qu.key, qu.p, qu.mod), fresh.AddPAC(qu.key, qu.p, qu.mod)
+				if got != want {
+					t.Fatalf("incarnation %d pass %d query %d: recycled table sealed %#x, fresh %#x", inc, pass, i, got, want)
+				}
+				_, okR := rec.Auth(qu.key, want, qu.mod)
+				_, okF := fresh.Auth(qu.key, want, qu.mod)
+				if !okR || !okF {
+					t.Fatalf("incarnation %d pass %d query %d: a seal was rejected (recycled %v, fresh %v)", inc, pass, i, okR, okF)
+				}
+			}
+		}
+		if trR.MemoHit.Value() != trF.MemoHit.Value() || trR.MemoMiss.Value() != trF.MemoMiss.Value() {
+			t.Errorf("incarnation %d: recycled table %d hits %d misses, fresh table %d hits %d misses", inc,
+				trR.MemoHit.Value(), trR.MemoMiss.Value(), trF.MemoHit.Value(), trF.MemoMiss.Value())
+		}
+		prev = rec
+	}
+}
+
+// TestRecycledMemoSharedConcurrently runs an Authenticator and two
+// successors on its table, one under other keys, from concurrent
+// goroutines: every PAC must equal the uncached cipher's. Under -race
+// this also checks that the handoff publishes the table safely.
+func TestRecycledMemoSharedConcurrently(t *testing.T) {
+	keysA, keysB := testKeys(), GenerateKeysFrom(mrand.New(mrand.NewSource(0xBCC)))
+	prev := New(keysA, DefaultConfig())
+	auths := []*Authenticator{prev, NewFrom(prev, keysA, DefaultConfig()), NewFrom(prev, keysB, DefaultConfig())}
+	errs := make([]error, 2*len(auths))
+	var wg sync.WaitGroup
+	for g := range errs {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			a := auths[g%len(auths)]
+			rng := mrand.New(mrand.NewSource(int64(g)))
+			for n := 0; n < 5_000; n++ {
+				i := uint64(rng.Intn(128))
+				p := a.Canonical(i * 0x1001)
+				if got, want := a.computePAC(KeyIA, p, i%5), a.pacFor(KeyIA, p, i%5); got != want {
+					errs[g] = fmt.Errorf("goroutine %d: computePAC(%#x) = %#x, want %#x", g, p, got, want)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+}
