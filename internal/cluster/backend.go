@@ -126,7 +126,7 @@ func (b *Backend) BootMachine(eng *fault.Engine, schemeName string) (*Machine, e
 	fault.Harden(sc, p)
 	st := snap.NewStore(snap.NewMemFS())
 	st.Tel = b.SnapTel
-	seq, err := st.CommitProcess(p)
+	seq, err := st.CommitProcess(p, img)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: backend %d: committing boot checkpoint for %s: %w", b.Index, schemeName, err)
 	}

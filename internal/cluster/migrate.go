@@ -67,7 +67,7 @@ func MigrateMachines(from, to *Backend) (*MigrationReport, error) {
 		if err != nil {
 			return rep, fmt.Errorf("cluster: migrating %s off backend %d: recover: %w", m.Scheme, from.Index, err)
 		}
-		img, err := snap.Encode(cp, m.Img.Prog)
+		img, err := snap.Encode(cp, m.Img)
 		if err != nil {
 			return rep, fmt.Errorf("cluster: migrating %s off backend %d: encode: %w", m.Scheme, from.Index, err)
 		}
@@ -82,7 +82,7 @@ func MigrateMachines(from, to *Backend) (*MigrationReport, error) {
 		}
 		proc.ReseedKeys()
 		shared := supervise.SharedKeys(m.Proc, proc)
-		toSeq, err := st.CommitProcess(proc)
+		toSeq, err := st.CommitProcess(proc, m.Img)
 		if err != nil {
 			return rep, fmt.Errorf("cluster: migrating %s to backend %d: reseal: %w", m.Scheme, to.Index, err)
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pacstack/internal/cpu"
-	"pacstack/internal/isa"
 	"pacstack/internal/kernel"
 	"pacstack/internal/mem"
 )
@@ -26,9 +25,9 @@ func (img *Image) Boot(k *kernel.Kernel) (*kernel.Process, error) {
 	if err := m.Map(l.CodeBase, codeLen, mem.PermRW); err != nil {
 		return nil, fmt.Errorf("compile: mapping code: %w", err)
 	}
-	text, err := isa.EncodeProgram(img.Prog)
+	text, _, err := img.Text()
 	if err != nil {
-		return nil, fmt.Errorf("compile: encoding text segment: %w", err)
+		return nil, err
 	}
 	if err := m.WriteBytes(l.CodeBase, text); err != nil {
 		return nil, fmt.Errorf("compile: loading text segment: %w", err)

@@ -2,7 +2,9 @@ package compile
 
 import (
 	"fmt"
+	"hash/crc64"
 	"strings"
+	"sync"
 
 	"pacstack/internal/ir"
 	"pacstack/internal/isa"
@@ -20,6 +22,34 @@ type Image struct {
 	// to its entry address; Boot uses it as the allowed-target set
 	// for the assumption-A2 forward-edge CFI.
 	FuncEntries map[string]uint64
+
+	text struct { // see Text
+		once  sync.Once
+		bytes []byte
+		crc   uint64
+		err   error
+	}
+}
+
+// textCRCTable is the CRC-64 of a program text: ECMA, as in the
+// snapshot codec.
+var textCRCTable = crc64.MakeTable(crc64.ECMA)
+
+// Text returns Prog's encoded text segment, the bytes Boot loads, and
+// its CRC-64/ECMA, which every snapshot of the image's processes
+// carries to bind it to the binary that can resume it. Both are
+// computed once per image; the caller must not modify the bytes.
+func (img *Image) Text() ([]byte, uint64, error) {
+	t := &img.text
+	t.once.Do(func() {
+		t.bytes, t.err = isa.EncodeProgram(img.Prog)
+		if t.err != nil {
+			t.err = fmt.Errorf("compile: encoding text segment: %w", t.err)
+			return
+		}
+		t.crc = crc64.Checksum(t.bytes, textCRCTable)
+	})
+	return t.bytes, t.crc, t.err
 }
 
 // reservedPrefix guards generated label space.

@@ -2,6 +2,7 @@ package compile
 
 import (
 	"errors"
+	"hash/crc64"
 	"strings"
 	"testing"
 
@@ -616,5 +617,37 @@ func TestBootLoadsRealCodeBytes(t *testing.T) {
 	// The process still runs from the sealed pages.
 	if err := proc.Run(10_000_000); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTextEncodedOnce pins the image's cached text: the bytes and CRC
+// Text returns are isa.EncodeProgram's and CRC-64/ECMA's, every call
+// and every boot share one encoding, and a second boot loads the same
+// bytes.
+func TestTextEncodedOnce(t *testing.T) {
+	img := MustCompile(demoProgram(), SchemePACStack, DefaultLayout())
+	text, crc, err := img.Text()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := isa.EncodeProgram(img.Prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(text) != string(want) {
+		t.Fatal("Text differs from isa.EncodeProgram")
+	}
+	if got := crc64.Checksum(want, crc64.MakeTable(crc64.ECMA)); crc != got {
+		t.Errorf("Text CRC %#x, CRC-64/ECMA of the encoding %#x", crc, got)
+	}
+	again, _, _ := img.Text()
+	if &again[0] != &text[0] {
+		t.Error("a second Text call encoded the program again")
+	}
+	for i := 0; i < 2; i++ {
+		raw, err := img.MustBoot(testKernel()).Mem.ReadBytes(img.Layout.CodeBase, img.Prog.Size())
+		if err != nil || string(raw) != string(want) {
+			t.Fatalf("boot %d loaded other text (err %v)", i, err)
+		}
 	}
 }

@@ -141,7 +141,7 @@ func New(cfg Config) (*Pool, error) {
 	if cfg.Configure != nil {
 		cfg.Configure(tpl)
 	}
-	bi, err := snap.EncodeBootImage(tpl, cfg.Img.Prog)
+	bi, err := snap.EncodeBootImage(tpl, cfg.Img)
 	if err != nil {
 		return nil, fmt.Errorf("pool: checkpointing template: %w", err)
 	}

@@ -48,7 +48,7 @@ func (s *Server) FinalCheckpoint(st *snap.Store) (int, error) {
 			return n, err
 		}
 		fault.Harden(sc, p)
-		if _, err := st.CommitProcess(p); err != nil {
+		if _, err := st.CommitProcess(p, img); err != nil {
 			return n, err
 		}
 		n++

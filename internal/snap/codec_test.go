@@ -41,7 +41,7 @@ func bootVictim(t testing.TB, seed int64, instrs uint64) (*kernel.Process, *comp
 func TestCodecRoundTrip(t *testing.T) {
 	p, img := bootVictim(t, 7, 500)
 	cp := p.Checkpoint()
-	enc, err := Encode(cp, img.Prog)
+	enc, err := Encode(cp, img)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -49,9 +49,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	progCRC, err := ProgramCRC(img.Prog)
+	_, progCRC, err := img.Text()
 	if err != nil {
-		t.Fatalf("program crc: %v", err)
+		t.Fatalf("program text: %v", err)
 	}
 	if meta.ProgCRC != progCRC || meta.ProgBase != img.Prog.Base {
 		t.Errorf("meta = %+v, want base %#x crc %#x", meta, img.Prog.Base, progCRC)
@@ -59,7 +59,7 @@ func TestCodecRoundTrip(t *testing.T) {
 	// Re-encoding the decoded checkpoint must be byte-identical: the
 	// encoding is canonical, which the crash matrix's replay-identity
 	// check leans on.
-	re, err := Encode(dec, img.Prog)
+	re, err := Encode(dec, img)
 	if err != nil {
 		t.Fatalf("re-encode: %v", err)
 	}
@@ -92,7 +92,7 @@ func TestImageDigestPinned(t *testing.T) {
 		{21, 700, "4cc9ff6496fc87fc2764dbaba6b818274cc00df2f8c23e1a12677d98bd3d064c"},
 	} {
 		p, img := bootVictim(t, tc.seed, tc.instrs)
-		enc, err := Encode(p.Checkpoint(), img.Prog)
+		enc, err := Encode(p.Checkpoint(), img)
 		if err != nil {
 			t.Fatalf("seed %d: encode: %v", tc.seed, err)
 		}
@@ -139,7 +139,7 @@ func TestEncodeTrimsTrailingZeros(t *testing.T) {
 		orig := append([]byte(nil), tc.data...)
 		cp := *base
 		cp.Pages = []mem.PageState{{Addr: 0x40000, Perm: mem.PermRW, Data: tc.data}}
-		enc, err := Encode(&cp, img.Prog)
+		enc, err := Encode(&cp, img)
 		if err != nil {
 			t.Fatalf("%s: encode: %v", tc.name, err)
 		}
@@ -156,15 +156,11 @@ func TestEncodeTrimsTrailingZeros(t *testing.T) {
 	}
 }
 
-// TestEncodeSizesImageOnce checks that encode allocates the image once
+// TestEncodeSizesImageOnce checks that Encode allocates the image once
 // at its exact final size, on checkpoints that exercise every
-// variable-length field.
+// variable-length field, and never re-encodes the program text.
 func TestEncodeSizesImageOnce(t *testing.T) {
 	p, img := bootVictim(t, 7, 500)
-	progCRC, err := ProgramCRC(img.Prog)
-	if err != nil {
-		t.Fatalf("program crc: %v", err)
-	}
 	plain := p.Checkpoint()
 	killed := *plain
 	killed.Kill = &kernel.KillCheckpoint{TaskID: 1, PC: 0x1234, Symbol: "leaf", Cause: "auth: PAC mismatch"}
@@ -172,7 +168,10 @@ func TestEncodeSizesImageOnce(t *testing.T) {
 	killed.Tasks = append([]kernel.TaskCheckpoint(nil), plain.Tasks...)
 	killed.Tasks[0].SigRefs = []uint64{1, 2, 3}
 	for name, cp := range map[string]*kernel.Checkpoint{"plain": plain, "killed": &killed} {
-		enc := encode(cp, img.Prog.Base, progCRC)
+		enc, err := Encode(cp, img)
+		if err != nil {
+			t.Fatalf("%s: encode: %v", name, err)
+		}
 		if len(enc) != cap(enc) {
 			t.Errorf("%s: image length %d, capacity %d: not sized exactly", name, len(enc), cap(enc))
 		}
@@ -180,15 +179,15 @@ func TestEncodeSizesImageOnce(t *testing.T) {
 			t.Errorf("%s: decode: %v", name, err)
 		}
 		// One allocation for the trimmed page lengths, one for the image.
-		if n := testing.AllocsPerRun(10, func() { encode(cp, img.Prog.Base, progCRC) }); n > 2 {
-			t.Errorf("%s: encode made %.0f allocations, want at most 2", name, n)
+		if n := testing.AllocsPerRun(10, func() { _, _ = Encode(cp, img) }); n > 2 {
+			t.Errorf("%s: Encode made %.0f allocations, want at most 2", name, n)
 		}
 	}
 }
 
 func TestRestoreReplaysIdentically(t *testing.T) {
 	p, img := bootVictim(t, 11, 400)
-	enc, err := Encode(p.Checkpoint(), img.Prog)
+	enc, err := Encode(p.Checkpoint(), img)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -196,7 +195,7 @@ func TestRestoreReplaysIdentically(t *testing.T) {
 	if err := p.Run(1 << 22); err != nil {
 		t.Fatalf("golden run: %v", err)
 	}
-	golden, err := Encode(p.Checkpoint(), img.Prog)
+	golden, err := Encode(p.Checkpoint(), img)
 	if err != nil {
 		t.Fatalf("golden encode: %v", err)
 	}
@@ -220,7 +219,7 @@ func TestRestoreReplaysIdentically(t *testing.T) {
 	if err := q.Run(1 << 22); err != nil {
 		t.Fatalf("restored run: %v", err)
 	}
-	got, err := Encode(q.Checkpoint(), img.Prog)
+	got, err := Encode(q.Checkpoint(), img)
 	if err != nil {
 		t.Fatalf("restored encode: %v", err)
 	}
@@ -234,7 +233,7 @@ func TestRestoreReplaysIdentically(t *testing.T) {
 
 func TestDecodeRejectsCorruption(t *testing.T) {
 	p, img := bootVictim(t, 13, 300)
-	enc, err := Encode(p.Checkpoint(), img.Prog)
+	enc, err := Encode(p.Checkpoint(), img)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -269,7 +268,7 @@ func TestDecodeRejectsCorruption(t *testing.T) {
 // valid for an image whose checksum does not hold.
 func FuzzRestore(f *testing.F) {
 	p, img := bootVictim(f, 17, 350)
-	enc, err := Encode(p.Checkpoint(), img.Prog)
+	enc, err := Encode(p.Checkpoint(), img)
 	if err != nil {
 		f.Fatalf("encode: %v", err)
 	}

@@ -273,19 +273,19 @@ func (c MatrixConfig) goldenLineage(img *compile.Image, seed int64) (*seedRun, e
 	if err := p.Run(n); !errors.Is(err, cpu.ErrStepLimit) {
 		return nil, fmt.Errorf("snap: matrix slice 1: got %v, want step limit", err)
 	}
-	if run.imgA, err = Encode(p.Checkpoint(), img.Prog); err != nil {
+	if run.imgA, err = Encode(p.Checkpoint(), img); err != nil {
 		return nil, err
 	}
 	if err := p.Run(n); !errors.Is(err, cpu.ErrStepLimit) {
 		return nil, fmt.Errorf("snap: matrix slice 2: got %v, want step limit", err)
 	}
-	if run.imgB, err = Encode(p.Checkpoint(), img.Prog); err != nil {
+	if run.imgB, err = Encode(p.Checkpoint(), img); err != nil {
 		return nil, err
 	}
 	if err := p.Run(matrixRunBudget); err != nil {
 		return nil, fmt.Errorf("snap: matrix final slice: %w", err)
 	}
-	if run.final, err = Encode(p.Checkpoint(), img.Prog); err != nil {
+	if run.final, err = Encode(p.Checkpoint(), img); err != nil {
 		return nil, err
 	}
 	return run, nil
@@ -366,7 +366,7 @@ func recoverTrial(fs *MemFS, img *compile.Image, c MatrixConfig, run *seedRun, s
 			return out
 		}
 	}
-	got, err := Encode(p.Checkpoint(), img.Prog)
+	got, err := Encode(p.Checkpoint(), img)
 	if err != nil || !bytes.Equal(got, run.final) {
 		out.silent = true
 		out.replayBad = true

@@ -29,7 +29,7 @@ func bootAndCommit(t *testing.T, n int) (*Store, *compile.Image, uint64) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if last, err = st.CommitProcess(p); err != nil {
+		if last, err = st.CommitProcess(p, img); err != nil {
 			t.Fatal(err)
 		}
 	}

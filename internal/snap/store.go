@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"pacstack/internal/compile"
-	"pacstack/internal/isa"
 	"pacstack/internal/kernel"
 	"pacstack/internal/telemetry"
 )
@@ -124,12 +123,6 @@ type Store struct {
 	fs     FS
 	seq    uint64
 	inited bool
-	// prog and progCRC remember ProgramCRC of the last program this
-	// store committed or restored. The pointer identifies the text:
-	// nothing writes a program's instructions after assembly.
-	prog    *isa.Program
-	progCRC uint64
-
 	// Tel, when non-nil, counts commits, bytes, and recovery anomalies
 	// into shared registry handles. Set it before traffic; all fields
 	// are nil-safe.
@@ -267,28 +260,14 @@ func (s *Store) commitErr(err error) error {
 	return err
 }
 
-// CommitProcess checkpoints a live process and commits it.
-func (s *Store) CommitProcess(p *kernel.Process) (uint64, error) {
-	progCRC, err := s.programCRC(p.Prog)
+// CommitProcess checkpoints a live process, which executes img, and
+// commits it.
+func (s *Store) CommitProcess(p *kernel.Process, img *compile.Image) (uint64, error) {
+	raw, err := Encode(p.Checkpoint(), img)
 	if err != nil {
 		return 0, err
 	}
-	return s.Commit(encode(p.Checkpoint(), p.Prog.Base, progCRC))
-}
-
-// programCRC returns ProgramCRC(prog), computing it only when prog is
-// not the program the store saw last.
-func (s *Store) programCRC(prog *isa.Program) (uint64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if prog != s.prog {
-		crc, err := ProgramCRC(prog)
-		if err != nil {
-			return 0, err
-		}
-		s.prog, s.progCRC = prog, crc
-	}
-	return s.progCRC, nil
+	return s.Commit(raw)
 }
 
 // Class is the recovery classification of one snapshot file.
@@ -526,7 +505,7 @@ func RestoreProcess(st *Store, img *compile.Image, k *kernel.Kernel) (*kernel.Pr
 	if err != nil {
 		return nil, rep, err
 	}
-	progCRC, err := st.programCRC(img.Prog)
+	_, progCRC, err := img.Text()
 	if err != nil {
 		return nil, rep, err
 	}

@@ -13,7 +13,7 @@ import (
 func commitVictim(t *testing.T, st *Store, seed int64, instrs uint64) (uint64, []byte) {
 	t.Helper()
 	p, img := bootVictim(t, seed, instrs)
-	enc, err := Encode(p.Checkpoint(), img.Prog)
+	enc, err := Encode(p.Checkpoint(), img)
 	if err != nil {
 		t.Fatalf("encode: %v", err)
 	}
@@ -63,7 +63,7 @@ func TestCrashAtEveryOffset(t *testing.T) {
 	st := NewStore(base)
 	seqA, _ := commitVictim(t, st, 5, 200)
 	p, img := bootVictim(t, 5, 500)
-	imgB, err := Encode(p.Checkpoint(), img.Prog)
+	imgB, err := Encode(p.Checkpoint(), img)
 	if err != nil {
 		t.Fatalf("encode B: %v", err)
 	}
@@ -174,7 +174,7 @@ func TestRecoverSweepsTornTemp(t *testing.T) {
 	// next commit takes it and recovers clean.
 	st2 := NewStore(fs)
 	p, img := bootVictim(t, 21, 300)
-	enc, _ := Encode(p.Checkpoint(), img.Prog)
+	enc, _ := Encode(p.Checkpoint(), img)
 	seq2, err := st2.Commit(enc)
 	if err != nil {
 		t.Fatalf("post-sweep commit: %v", err)

@@ -101,7 +101,8 @@ func TestKillMidCheckpointRecovers(t *testing.T) {
 	// Let the first commit through whole, then tear the second one a
 	// little way in. The first commit's cost is measured on a clone so
 	// the test does not hardcode the protocol's op costs.
-	probe, err := image(t, chattyProgram()).Boot(seededKernel(77))
+	probeImg := image(t, chattyProgram())
+	probe, err := probeImg.Boot(seededKernel(77))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestKillMidCheckpointRecovers(t *testing.T) {
 		t.Fatalf("probe: %v", err)
 	}
 	dry := fs.Clone()
-	if _, err := snap.NewStore(dry).CommitProcess(probe); err != nil {
+	if _, err := snap.NewStore(dry).CommitProcess(probe, probeImg); err != nil {
 		t.Fatal(err)
 	}
 	// Arm the crash from the mutate hook: it runs after the attempt's
@@ -182,14 +183,15 @@ func TestRestoreFailureNoDoubleCharge(t *testing.T) {
 		// checksum refuses it and the cold boot runs in the same cycle.
 		fs := snap.NewMemFS()
 		st := snap.NewStore(fs)
-		donor, err := image(t, chattyProgram()).Boot(seededKernel(9))
+		donorImg := image(t, chattyProgram())
+		donor, err := donorImg.Boot(seededKernel(9))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := donor.Run(50); !errors.Is(err, cpu.ErrStepLimit) {
 			t.Fatal(err)
 		}
-		if _, err := st.CommitProcess(donor); err != nil {
+		if _, err := st.CommitProcess(donor, donorImg); err != nil {
 			t.Fatal(err)
 		}
 

@@ -374,7 +374,7 @@ func (s *Supervisor) runAttempt(ctx context.Context, p *kernel.Process, budget u
 		if executed >= budget {
 			return cpu.ErrStepLimit
 		}
-		if _, cerr := s.Snapshots.CommitProcess(p); cerr != nil {
+		if _, cerr := s.Snapshots.CommitProcess(p, s.Img); cerr != nil {
 			s.CommitErrs++
 			if s.Tel != nil {
 				s.Tel.CommitErrs.Inc()
