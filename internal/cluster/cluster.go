@@ -97,7 +97,7 @@ type Cluster struct {
 
 	seq atomic.Uint64
 
-	routedVec     *telemetry.CounterVec
+	routed        []*telemetry.Counter // pacstack_cluster_routed_total, by backend
 	deniedVec     *telemetry.CounterVec
 	migrationsVec *telemetry.CounterVec
 	transVec      *telemetry.CounterVec
@@ -123,7 +123,6 @@ func New(cfg Config) (*Cluster, error) {
 		now:    func() uint64 { return uint64(time.Now().UnixNano()) },
 		budget: cfg.FailoverBudget,
 
-		routedVec:     reg.CounterVec("pacstack_cluster_routed_total", "requests admitted per backend", "backend"),
 		deniedVec:     reg.CounterVec("pacstack_cluster_breaker_denied_total", "arrivals denied per backend breaker", "backend"),
 		migrationsVec: reg.CounterVec("pacstack_cluster_migrations_total", "machine migrations per backend", "backend", "direction"),
 		transVec:      reg.CounterVec("pacstack_cluster_breaker_transitions_total", "backend breaker state changes", "backend", "to"),
@@ -141,6 +140,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	eng := fault.NewEngine(prog)
+	routedVec := reg.CounterVec("pacstack_cluster_routed_total", "requests admitted per backend", "backend")
 	for i := 0; i < cfg.Backends; i++ {
 		b := NewBackend(i, cfg.Seed)
 		b.SnapTel = snapTel
@@ -157,6 +157,7 @@ func New(cfg Config) (*Cluster, error) {
 			}
 		}
 		c.backends = append(c.backends, b)
+		c.routed = append(c.routed, routedVec.With(fmt.Sprint(i)))
 		// The router's load metric, exposed: one gather-time gauge per
 		// backend reading the live admission in-flight count.
 		srv := b.Srv
@@ -227,7 +228,7 @@ func (c *Cluster) Do(ctx context.Context, req serve.Request) (*serve.Result, err
 		}
 		res, err := b.Srv.Do(ctx, req)
 		if !refused(err) {
-			c.routedVec.With(fmt.Sprint(idx)).Inc()
+			c.routed[idx].Inc()
 		}
 		if br := b.Breaker; br != nil {
 			br.Record(c.now(), serve.BackendHealthy(err))
@@ -313,23 +314,36 @@ func (c *Cluster) Kill(ctx context.Context, idx int) (*MigrationReport, error) {
 	return rep, nil
 }
 
-// BackendStatus is one backend's row in the cluster snapshot.
+// BackendStatus is one backend's row in the cluster snapshot: only
+// what this backend alone did or holds.
 type BackendStatus struct {
-	Backend      int            `json:"backend"`
-	Alive        bool           `json:"alive"`
-	Breaker      string         `json:"breaker"`
-	BreakerOpens uint64         `json:"breaker_opens,omitempty"`
-	InFlight     int            `json:"in_flight"` // the router's load metric
-	Machines     []string       `json:"machines"`
-	Stats        serve.Snapshot `json:"stats"`
+	Backend      int    `json:"backend"`
+	Alive        bool   `json:"alive"`
+	Breaker      string `json:"breaker"`
+	BreakerOpens uint64 `json:"breaker_opens,omitempty"`
+	// SchemeBreakerOpens counts the openings of this backend's server's
+	// per-scheme breakers.
+	SchemeBreakerOpens map[string]uint64 `json:"scheme_breaker_opens,omitempty"`
+	InFlight           int               `json:"in_flight"` // the router's load metric
+	Queued             int               `json:"queued"`
+	Draining           bool              `json:"draining"`
+	// Routed is pacstack_cluster_routed_total for this backend: the
+	// requests it admitted.
+	Routed   uint64   `json:"routed"`
+	Machines []string `json:"machines"`
 }
 
 // Status is the /v1/cluster JSON shape.
 type Status struct {
-	Backends        []BackendStatus `json:"backends"`
-	Alive           int             `json:"alive"`
-	FailoverBudget  int             `json:"failover_budget_remaining"`
-	FailoverCharged int             `json:"failover_budget_charged"`
+	Backends []BackendStatus `json:"backends"`
+	// Fleet is the serving counters. Every backend's server counts
+	// into the cluster's one telemetry set, so they are fleet-wide
+	// totals; in-flight, queued and breaker openings are summed over
+	// the backends, and draining holds once every backend drains.
+	Fleet           serve.Snapshot `json:"fleet"`
+	Alive           int            `json:"alive"`
+	FailoverBudget  int            `json:"failover_budget_remaining"`
+	FailoverCharged int            `json:"failover_budget_charged"`
 }
 
 // Status snapshots the fleet.
@@ -343,12 +357,30 @@ func (c *Cluster) Status() Status {
 		FailoverCharged: c.cfg.FailoverBudget - budget,
 	}
 	for i, b := range c.backends {
+		stats := b.Srv.Stats()
 		row := BackendStatus{
-			Backend:  i,
-			Alive:    b.Alive(),
-			Breaker:  resilience.BreakerClosed.String(),
-			InFlight: b.Srv.InFlight(),
-			Stats:    b.Srv.Stats(),
+			Backend:            i,
+			Alive:              b.Alive(),
+			Breaker:            resilience.BreakerClosed.String(),
+			SchemeBreakerOpens: stats.BreakerOpens,
+			InFlight:           stats.InFlight,
+			Queued:             stats.Queued,
+			Draining:           stats.Draining,
+			Routed:             c.routed[i].Value(),
+		}
+		if i == 0 {
+			st.Fleet = stats
+			st.Fleet.BreakerOpens = nil
+			st.Fleet.InFlight, st.Fleet.Queued = 0, 0
+		}
+		st.Fleet.InFlight += stats.InFlight
+		st.Fleet.Queued += stats.Queued
+		st.Fleet.Draining = st.Fleet.Draining && stats.Draining
+		for sc, n := range stats.BreakerOpens {
+			if st.Fleet.BreakerOpens == nil {
+				st.Fleet.BreakerOpens = make(map[string]uint64)
+			}
+			st.Fleet.BreakerOpens[sc] += n
 		}
 		if br := b.Breaker; br != nil {
 			row.Breaker = br.State(now).String()

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"testing"
@@ -312,6 +313,56 @@ func TestLiveRoutedCountsAdmittedOnly(t *testing.T) {
 	}
 	if got := familyTotal(cl.Telemetry().Registry(), "pacstack_cluster_routed_total", "0"); got != uint64(n-shed) {
 		t.Fatalf("routed_total %d, want %d (%d of %d requests shed)", got, n-shed, shed, n)
+	}
+}
+
+// TestStatusRowsArePerBackend routes 24 chain requests over three
+// backends: each /v1/cluster row reports only its own backend, the
+// rows' routed counts add up to the 24, and the serving counters,
+// which every backend counts into one telemetry set, appear once, as
+// the fleet's.
+func TestStatusRowsArePerBackend(t *testing.T) {
+	cl, err := New(Config{Backends: 3, Seed: 3, BreakerThreshold: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 24
+	for i := 0; i < n; i++ {
+		if _, err := cl.Do(context.Background(), serve.Request{Workload: "chain", Scheme: "pacstack", Seed: int64(i + 1)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := cl.Status()
+	if st.Fleet.Requests != n || st.Fleet.OK != n {
+		t.Errorf("fleet counters: %d requests, %d ok, want %d each", st.Fleet.Requests, st.Fleet.OK, n)
+	}
+	var routed uint64
+	for _, row := range st.Backends {
+		routed += row.Routed
+		if row.Routed == n {
+			t.Errorf("backend %d routed all %d requests; the test needs them spread", row.Backend, n)
+		}
+		if want := familyTotal(cl.Telemetry().Registry(), "pacstack_cluster_routed_total", fmt.Sprint(row.Backend)); row.Routed != want {
+			t.Errorf("backend %d row routed %d, pacstack_cluster_routed_total %d", row.Backend, row.Routed, want)
+		}
+	}
+	if routed != n {
+		t.Errorf("rows routed %d requests in all, want %d", routed, n)
+	}
+	raw, err := json.Marshal(st.Backends)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rows []map[string]any
+	if err := json.Unmarshal(raw, &rows); err != nil {
+		t.Fatal(err)
+	}
+	for _, row := range rows {
+		for _, fleetOnly := range []string{"stats", "requests", "ok"} {
+			if _, ok := row[fleetOnly]; ok {
+				t.Errorf("backend %v row carries the fleet's %q", row["backend"], fleetOnly)
+			}
+		}
 	}
 }
 
