@@ -32,6 +32,7 @@ func benchServeRPS(b *testing.B, warm bool) {
 		Seed:    1,
 		Warm:    warm,
 	})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if err := par.ForEachErr(serveBatch, func(j int) error {
