@@ -22,10 +22,9 @@
 #                          request (BenchmarkServeColdRPS)
 #   serve_warm_rps         the same request stream served from the
 #                          warm snapshot-fork pools
-#                          (BenchmarkServeWarmRPS). Near-parity is
-#                          expected here: the simulator's cold boot is
-#                          already in-memory, so the wall-clock pair
-#                          mostly measures pool bookkeeping overhead.
+#                          (BenchmarkServeWarmRPS). Four alternated
+#                          pairs on a 2-vCPU host read warm 1.35-1.66x
+#                          cold; one unpaired run is noisier than that.
 #
 # The architectural fork-server numbers — warm vs cold requests per
 # virtual second with machine acquisition charged at the modeled
