@@ -61,7 +61,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -74,7 +73,6 @@ import (
 	"pacstack/internal/par"
 	"pacstack/internal/resilience"
 	"pacstack/internal/serve"
-	"pacstack/internal/telemetry"
 	"pacstack/internal/traffic"
 )
 
@@ -107,11 +105,12 @@ func main() {
 	adaptiveInterval := flag.Uint64("adaptive-interval", 0, "AIMD control-window length in virtual cycles (0: 10000)")
 	adaptiveTarget := flag.Uint64("adaptive-target", 0, "AIMD service-dilation congestion target in cycles (0: 1048576)")
 	bootModel := flag.String("boot-model", "", "machine-acquisition cost model: cold or warm (empty: acquisition-free legacy model)")
-	sloReport := flag.String("slo-report", "", "write the SLO report as JSON to this path (traffic mode)")
+	var out harness.SoakOutput
+	flag.StringVar(&out.SLOReport, "slo-report", "", "write the SLO report as JSON to this path (traffic mode)")
 	parWidth := flag.Int("par", 0, "precompute worker-pool width (0: GOMAXPROCS); the report must not depend on it")
-	asJSON := flag.Bool("json", false, "emit the report as JSON instead of the table")
-	check := flag.Bool("check", false, "exit non-zero on silent corruption or a non-graceful run")
-	telemetryDump := flag.String("telemetry-dump", "", "write the run's telemetry (metrics + events) as JSON to this path")
+	flag.BoolVar(&out.JSON, "json", false, "emit the report as JSON instead of the table")
+	flag.BoolVar(&out.Check, "check", false, "exit non-zero on silent corruption or a non-graceful run")
+	flag.StringVar(&out.TelemetryDump, "telemetry-dump", "", "write the run's telemetry (metrics + events) as JSON to this path")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile to this file on exit")
 	flag.Parse()
@@ -218,75 +217,12 @@ func main() {
 		}
 	}
 
-	var tel *telemetry.Set
-	if *telemetryDump != "" {
-		tel = telemetry.New(telemetry.Options{})
-	}
-	cfg.Telemetry = tel
+	cfg.Telemetry = out.Telemetry()
 	rep, err := serve.Soak(context.Background(), cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	if *sloReport != "" {
-		if rep.SLO == nil {
-			log.Fatal("-slo-report needs a traffic-mode run (-traffic)")
-		}
-		out, err := json.MarshalIndent(rep.SLO, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := os.WriteFile(*sloReport, append(out, '\n'), 0o644); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if *telemetryDump != "" {
-		f, err := os.Create(*telemetryDump)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := tel.WriteJSON(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	if *asJSON {
-		out, err := json.MarshalIndent(rep, "", "  ")
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(string(out))
-	} else {
-		fmt.Print(harness.Soak(rep))
-	}
-
-	if *check {
-		fail := func(format string, args ...any) {
-			log.Printf(format, args...)
-			// Leave the full report on disk so the failure can be
-			// diffed against a known-good run.
-			if f, err := os.CreateTemp("", "pacstack-soak-failed-*.json"); err == nil {
-				enc := json.NewEncoder(f)
-				enc.SetIndent("", "  ")
-				if enc.Encode(rep) == nil {
-					log.Printf("failing report written to %s", f.Name())
-				}
-				f.Close()
-			}
-			os.Exit(1)
-		}
-		if rep.Silent != 0 {
-			fail("CHECK FAILED: %d silent corruption(s)", rep.Silent)
-		}
-		if !rep.Graceful() {
-			fail("CHECK FAILED: run not graceful (%d in flight, %d unaccounted)",
-				rep.InFlightAtEnd, rep.Issued-(rep.OK+rep.Detected+rep.Silent+rep.GaveUp))
-		}
-	}
+	out.Write("pacstack-soak", rep, rep.SLO, harness.Soak(rep))
 }
 
 // modeError refuses the first flag in given (the names set on the

@@ -73,9 +73,8 @@ func TestMigrateMachinesReseedsKeys(t *testing.T) {
 // share.
 func killSoakConfig(tel *telemetry.Set) SoakConfig {
 	return SoakConfig{
-		Backends: 3, Clients: 6, Requests: 10, Seed: 11,
-		ChaosRate: 0.1, Heal: 1, Kills: []KillSpec{{At: 40_000, Backend: -1}},
-		Telemetry: tel,
+		SoakConfig: serve.SoakConfig{Clients: 6, Requests: 10, Seed: 11, ChaosRate: 0.1, Heal: 1, Telemetry: tel},
+		Backends:   3, Kills: []KillSpec{{At: 40_000, Backend: -1}},
 	}
 }
 
@@ -127,7 +126,8 @@ func TestClusterSoakKillAccounting(t *testing.T) {
 // load-balanced soak — no migration, no budget charge, graceful.
 func TestClusterSoakNoKill(t *testing.T) {
 	rep, err := Soak(context.Background(), SoakConfig{
-		Backends: 3, Clients: 6, Requests: 8, Seed: 7, ChaosRate: 0.1, Heal: 1,
+		SoakConfig: serve.SoakConfig{Clients: 6, Requests: 8, Seed: 7, ChaosRate: 0.1, Heal: 1},
+		Backends:   3,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -483,8 +483,8 @@ func TestRouterLoadAware(t *testing.T) {
 // counter.
 func TestClusterSoakCascadingKills(t *testing.T) {
 	cfg := SoakConfig{
-		Backends: 3, Clients: 6, Requests: 10, Seed: 11,
-		ChaosRate: 0.1, Heal: 1, FailoverBudget: 2,
+		SoakConfig: serve.SoakConfig{Clients: 6, Requests: 10, Seed: 11, ChaosRate: 0.1, Heal: 1},
+		Backends:   3, FailoverBudget: 2,
 		Kills: []KillSpec{{At: 40_000, Backend: -1}, {At: 60_000, Backend: -1}},
 	}
 	rep, err := Soak(context.Background(), cfg)
@@ -533,8 +533,8 @@ func TestClusterSoakCascadingKills(t *testing.T) {
 // and the accounting still closes.
 func TestClusterSoakCascadeBeyondBudget(t *testing.T) {
 	cfg := SoakConfig{
-		Backends: 3, Clients: 6, Requests: 10, Seed: 11,
-		ChaosRate: 0.1, Heal: 1, FailoverBudget: 1,
+		SoakConfig: serve.SoakConfig{Clients: 6, Requests: 10, Seed: 11, ChaosRate: 0.1, Heal: 1},
+		Backends:   3, FailoverBudget: 1,
 		Kills: []KillSpec{{At: 40_000, Backend: -1}, {At: 60_000, Backend: -1}},
 	}
 	rep, err := Soak(context.Background(), cfg)

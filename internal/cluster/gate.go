@@ -16,6 +16,7 @@ package cluster
 import (
 	"pacstack/internal/mesh"
 	"pacstack/internal/resilience"
+	"pacstack/internal/serve"
 	"pacstack/internal/traffic"
 )
 
@@ -27,15 +28,11 @@ import (
 func MeshGateConfig(seed int64, resilient bool) SoakConfig {
 	model := traffic.BurstScenario(seed)
 	cfg := SoakConfig{
-		Backends:  3,
-		Workers:   4,
-		Queue:     8,
-		Cores:     4,
-		Seed:      seed,
-		ChaosRate: 0.02,
-		Heal:      1,
-		Traffic:   &model,
-		Mesh:      &mesh.Config{Links: map[int]mesh.LinkConfig{0: mesh.Gray()}},
+		SoakConfig: serve.SoakConfig{
+			Workers: 4, Queue: 8, Cores: 4, Seed: seed, ChaosRate: 0.02, Heal: 1, Traffic: &model,
+		},
+		Backends: 3,
+		Mesh:     &mesh.Config{Links: map[int]mesh.LinkConfig{0: mesh.Gray()}},
 	}
 	if resilient {
 		cfg.Hedge = true

@@ -1,103 +1,56 @@
-// HTTP/JSON surface of the live cluster: POST /v1/run routes one
-// workload through the breaker-aware router, GET /v1/cluster is the
-// fleet status (per-backend liveness, breaker state, resident
-// machines, serve counters), POST /v1/kill?backend=N is the operator
-// kill-and-failover, and /metrics, /events, /v1/telemetry, /healthz
-// mirror the single-backend daemon so dashboards point at either tier
-// unchanged. /healthz stays 200 while at least one backend is alive —
-// the whole point of the tier.
+// HTTP/JSON surface of the live cluster. It mounts the serving tier's
+// front end (serve.Frontend) with the router's Do, the backends'
+// deadline and the routing-error mapping, so POST /v1/run, /metrics,
+// /events and /v1/telemetry decode, answer and fail exactly as the
+// single-backend daemon does and dashboards point at either tier
+// unchanged. The cluster adds GET /v1/cluster, the fleet status
+// (per-backend liveness, breaker state, resident machines, serve
+// counters), POST /v1/kill?backend=N, the operator kill-and-failover,
+// the /v1/mesh link state, and /healthz, which stays 200 while at least
+// one backend is alive — the whole point of the tier.
 
 package cluster
 
 import (
-	"context"
-	"encoding/json"
 	"errors"
 	"net/http"
 	"strconv"
 
 	"pacstack/internal/mesh"
 	"pacstack/internal/serve"
-	"pacstack/internal/telemetry"
 )
-
-const maxBodyBytes = 1 << 16
-
-type errorBody struct {
-	Error string `json:"error"`
-	Kind  string `json:"kind"`
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(v)
-}
 
 // Handler returns the cluster's HTTP surface.
 func (c *Cluster) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/run", c.handleRun)
+	mux := serve.Frontend{Do: c.Do, Timeout: c.cfg.Backend.Timeout, Status: statusOf, Tel: c.tel}.Mux()
 	mux.HandleFunc("GET /v1/cluster", c.handleCluster)
 	mux.HandleFunc("POST /v1/kill", c.handleKill)
 	mux.HandleFunc("GET /v1/mesh", c.handleMeshGet)
 	mux.HandleFunc("POST /v1/mesh", c.handleMeshSet)
-	mux.HandleFunc("GET /metrics", c.handleMetrics)
-	mux.HandleFunc("GET /events", c.handleEvents)
-	mux.HandleFunc("GET /v1/telemetry", c.handleTelemetry)
 	mux.HandleFunc("GET /healthz", c.handleHealthz)
 	return mux
 }
 
-func (c *Cluster) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req serve.Request
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed request: " + err.Error(), Kind: "bad_request"})
-		return
-	}
-	ctx := r.Context()
-	if t := c.cfg.Backend.Timeout; t > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, t)
-		defer cancel()
-	}
-	res, err := c.Do(ctx, req)
-	if err != nil {
-		status, body := clusterStatusOf(err)
-		if status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable {
-			w.Header().Set("Retry-After", "1")
-		}
-		writeJSON(w, status, body)
-		return
-	}
-	writeJSON(w, http.StatusOK, res)
-}
-
-// clusterStatusOf maps routing errors first, then falls through to the
-// serve layer's mapping for execution outcomes.
-func clusterStatusOf(err error) (int, any) {
+// statusOf maps routing errors first, then falls through to the serve
+// layer's mapping for execution outcomes.
+func statusOf(err error) (int, serve.ErrorBody) {
 	if errors.Is(err, ErrNoBackend) {
-		return http.StatusServiceUnavailable, errorBody{Error: err.Error(), Kind: "no_backend"}
+		return http.StatusServiceUnavailable, serve.ErrorBody{Error: err.Error(), Kind: "no_backend"}
 	}
 	if errors.Is(err, ErrLinkDown) {
-		return http.StatusServiceUnavailable, errorBody{Error: err.Error(), Kind: "link_down"}
+		return http.StatusServiceUnavailable, serve.ErrorBody{Error: err.Error(), Kind: "link_down"}
 	}
-	status, body := serve.HTTPStatus(err)
-	return status, body
+	return serve.HTTPStatus(err)
 }
 
 func (c *Cluster) handleCluster(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.Status())
+	serve.WriteJSON(w, http.StatusOK, c.Status())
 }
 
 func (c *Cluster) handleKill(w http.ResponseWriter, r *http.Request) {
 	idx, err := strconv.Atoi(r.URL.Query().Get("backend"))
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "kill: backend query parameter must be an integer", Kind: "bad_request"})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorBody{Error: "kill: backend query parameter must be an integer", Kind: "bad_request"})
 		return
 	}
 	rep, err := c.Kill(r.Context(), idx)
@@ -106,10 +59,10 @@ func (c *Cluster) handleKill(w http.ResponseWriter, r *http.Request) {
 		if errors.Is(err, ErrDeadBackend) {
 			status = http.StatusGone
 		}
-		writeJSON(w, status, errorBody{Error: err.Error(), Kind: "kill_failed"})
+		serve.WriteJSON(w, status, serve.ErrorBody{Error: err.Error(), Kind: "kill_failed"})
 		return
 	}
-	writeJSON(w, http.StatusOK, rep)
+	serve.WriteJSON(w, http.StatusOK, rep)
 }
 
 // handleMeshGet reports the live link state; handleMeshSet replaces it
@@ -118,42 +71,27 @@ func (c *Cluster) handleKill(w http.ResponseWriter, r *http.Request) {
 // honest: what you GET is exactly what was last POSTed, ruled at the
 // current clock.
 func (c *Cluster) handleMeshGet(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.MeshStatus())
+	serve.WriteJSON(w, http.StatusOK, c.MeshStatus())
 }
 
 func (c *Cluster) handleMeshSet(w http.ResponseWriter, r *http.Request) {
 	var cfg mesh.Config
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&cfg); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: "malformed mesh config: " + err.Error(), Kind: "bad_request"})
+	if err := serve.DecodeBody(w, r, &cfg); err != nil {
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorBody{Error: "malformed mesh config: " + err.Error(), Kind: "bad_request"})
 		return
 	}
 	if err := c.SetMesh(cfg); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error(), Kind: "bad_mesh"})
+		serve.WriteJSON(w, http.StatusBadRequest, serve.ErrorBody{Error: err.Error(), Kind: "bad_mesh"})
 		return
 	}
-	writeJSON(w, http.StatusOK, c.MeshStatus())
-}
-
-func (c *Cluster) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_, _ = w.Write([]byte(telemetry.Prometheus(c.tel.Registry().Gather())))
-}
-
-func (c *Cluster) handleEvents(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.tel.Log().Snapshot())
-}
-
-func (c *Cluster) handleTelemetry(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, c.tel.Dump())
+	serve.WriteJSON(w, http.StatusOK, c.MeshStatus())
 }
 
 func (c *Cluster) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	st := c.Status()
 	if st.Alive == 0 {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "dead", "alive": 0})
+		serve.WriteJSON(w, http.StatusServiceUnavailable, map[string]any{"status": "dead", "alive": 0})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"status": "ok", "alive": st.Alive})
+	serve.WriteJSON(w, http.StatusOK, map[string]any{"status": "ok", "alive": st.Alive})
 }

@@ -133,66 +133,42 @@ type tAttempt struct {
 // applied defaults and validated the mode.
 func replay(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 	model := cfg.Traffic
-	rep := &ClusterReport{
-		Seed: cfg.Seed, Backends: cfg.Backends, ChaosRate: cfg.ChaosRate, Heal: cfg.Heal,
-		KilledBackend: -1, Traffic: model != nil,
+	st, err := cfg.Stream()
+	if err != nil {
+		return nil, err
 	}
-	var (
-		arrivals []traffic.Arrival
-		clients  *serve.Clients
-		kills    []KillSpec
-		net      *mesh.Mesh
-		seed     func(int) int64
-		err      error
-	)
+	arrivals, clients := st.Arrivals, st.Clients
+	rep := &ClusterReport{
+		Seed: cfg.Seed, Workload: st.Workload, Schemes: st.Schemes, Backends: cfg.Backends,
+		ChaosRate: cfg.ChaosRate, Heal: cfg.Heal, KilledBackend: -1, Traffic: model != nil,
+	}
+	var net *mesh.Mesh
+	if cfg.Mesh != nil {
+		for idx := range cfg.Mesh.Links {
+			if idx >= cfg.Backends {
+				return nil, fmt.Errorf("cluster: mesh link for backend %d out of range (fleet of %d)", idx, cfg.Backends)
+			}
+		}
+		if net, err = mesh.New(*cfg.Mesh, cfg.Seed); err != nil {
+			return nil, err
+		}
+	}
+	kills := append([]KillSpec(nil), cfg.Kills...)
+	for _, k := range kills {
+		if k.At == 0 {
+			return nil, fmt.Errorf("cluster: kill at virtual instant 0")
+		}
+		if k.Backend >= cfg.Backends {
+			return nil, fmt.Errorf("cluster: kill backend %d out of range (fleet of %d)", k.Backend, cfg.Backends)
+		}
+	}
+	sort.SliceStable(kills, func(i, j int) bool { return kills[i].At < kills[j].At })
 	// A traffic run's resident machines are chain images whatever its
 	// class mixture.
-	workload, schemes := "chain", cfg.Schemes
-	if model != nil {
-		if arrivals, err = model.Generate(); err != nil {
-			return nil, err
-		}
-		if len(arrivals) == 0 {
-			return nil, fmt.Errorf("cluster: traffic model generated no arrivals")
-		}
-		schemes = nil
-		for _, c := range model.Classes {
-			schemes = append(schemes, c.Scheme)
-		}
-		if cfg.Mesh != nil {
-			for idx := range cfg.Mesh.Links {
-				if idx >= cfg.Backends {
-					return nil, fmt.Errorf("cluster: mesh link for backend %d out of range (fleet of %d)", idx, cfg.Backends)
-				}
-			}
-			if net, err = mesh.New(*cfg.Mesh, cfg.Seed); err != nil {
-				return nil, err
-			}
-		}
-		seed = serve.ArrivalSeed(cfg.Seed)
-		rep.Workload, rep.Schemes = "traffic", serve.ArrivalSchemes(arrivals)
-	} else {
-		kills = append(kills, cfg.Kills...)
-		for _, k := range kills {
-			if k.At == 0 {
-				return nil, fmt.Errorf("cluster: kill at virtual instant 0")
-			}
-			if k.Backend >= cfg.Backends {
-				return nil, fmt.Errorf("cluster: kill backend %d out of range (fleet of %d)", k.Backend, cfg.Backends)
-			}
-		}
-		sort.SliceStable(kills, func(i, j int) bool { return kills[i].At < kills[j].At })
-		clients = serve.NewClients(cfg.Seed, cfg.Clients, cfg.Requests)
-		arrivals = clients.Arrivals(cfg.Workload, cfg.Schemes)
-		seed = clients.Seed
+	workload := "chain"
+	if clients != nil {
 		workload = cfg.Workload
-		rep.Workload, rep.Schemes = cfg.Workload, cfg.Schemes
 		rep.Clients, rep.PerClient = cfg.Clients, cfg.Requests
-	}
-	for _, name := range schemes {
-		if _, err := serve.ParseScheme(name); err != nil {
-			return nil, err
-		}
 	}
 	prog, err := serve.ResolveProgram(workload, nil)
 	if err != nil {
@@ -240,15 +216,11 @@ func replay(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 	budgetDeniedC := treg.Counter("pacstack_cluster_retry_budget_denied_total", "secondary attempts refused by the retry budget")
 	resizesC := treg.Counter("pacstack_cluster_core_resizes_total", "vertical core-count changes")
 
-	cores := cfg.Cores
-	if cores <= 0 {
-		cores = cfg.Workers
-	}
 	var vcfg resilience.AIMDConfig
 	if cfg.VerticalAdaptive != nil {
 		vcfg = *cfg.VerticalAdaptive
 		if vcfg.Start == 0 {
-			vcfg.Start = cores
+			vcfg.Start = cfg.Cores
 		}
 		if vcfg.Interval == 0 {
 			vcfg.Interval = 20_000
@@ -268,14 +240,18 @@ func replay(ctx context.Context, cfg SoakConfig) (*ClusterReport, error) {
 		return nil, err
 	}
 	for i, d := range backends {
-		d.cores, d.svc = cores, svcVec.With(fmt.Sprint(i))
+		d.cores, d.svc = cfg.Cores, svcVec.With(fmt.Sprint(i))
 		if cfg.VerticalAdaptive != nil {
 			d.ctl = resilience.NewAIMD(vcfg)
 			d.cores = d.ctl.Limit()
 		}
 	}
 	router := NewRouter(cfg.Seed)
-	outcomes, err := precompute(ctx, cfg, arrivals, seed)
+	// Request identity fixes each seed. Which backend ends up executing
+	// a request is a routing fact, not an entropy source, which is why a
+	// migrated or hedged request can run elsewhere and still produce the
+	// same answer.
+	outcomes, _, err := serve.Precompute(ctx, cfg.SoakConfig, st)
 	if err != nil {
 		return nil, err
 	}

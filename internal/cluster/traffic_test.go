@@ -9,6 +9,7 @@ import (
 
 	"pacstack/internal/mesh"
 	"pacstack/internal/resilience"
+	"pacstack/internal/serve"
 	"pacstack/internal/traffic"
 )
 
@@ -83,10 +84,8 @@ func TestTrafficSoakAllLinksDown(t *testing.T) {
 	model := traffic.Default(7)
 	model.Horizon = 2_000_000
 	cfg := SoakConfig{
-		Backends: 3,
-		Workers:  2,
-		Seed:     7,
-		Traffic:  &model,
+		SoakConfig: serve.SoakConfig{Workers: 2, Seed: 7, Traffic: &model},
+		Backends:   3,
 		Mesh: &mesh.Config{Links: map[int]mesh.LinkConfig{
 			0: {Down: true}, 1: {Down: true}, 2: {Down: true},
 		}},
@@ -124,10 +123,8 @@ func TestTrafficSoakHedgePairKeys(t *testing.T) {
 	model := traffic.Default(3)
 	model.Horizon = 3_000_000
 	cfg := SoakConfig{
-		Backends: 3,
-		Workers:  2,
-		Seed:     3,
-		Traffic:  &model,
+		SoakConfig: serve.SoakConfig{Workers: 2, Seed: 3, Traffic: &model},
+		Backends:   3,
 		// A modest uniform latency on every link delays every request
 		// past the web hedge deadline, so nearly every arrival hedges.
 		Mesh: &mesh.Config{Links: map[int]mesh.LinkConfig{
@@ -161,11 +158,8 @@ func TestVerticalScalingConverges(t *testing.T) {
 	model.Horizon = 6_000_000
 	model.Rate = 0.04 // sustained pressure: twice the default base rate
 	cfg := SoakConfig{
+		SoakConfig:       serve.SoakConfig{Workers: 8, Cores: 1, Seed: 11, Traffic: &model},
 		Backends:         3,
-		Workers:          8,
-		Cores:            1,
-		Seed:             11,
-		Traffic:          &model,
 		VerticalAdaptive: &resilience.AIMDConfig{Start: 1, Max: 32, Interval: 20_000},
 	}
 	rep, err := Soak(context.Background(), cfg)
@@ -202,16 +196,12 @@ func TestVerticalScalingConverges(t *testing.T) {
 func TestBrownoutShedsByPriority(t *testing.T) {
 	model := traffic.BurstScenario(5)
 	cfg := SoakConfig{
-		Backends:  2,
-		Workers:   2, // deliberately undersized: brownout must engage
-		Queue:     2,
-		Cores:     2,
-		Seed:      5,
-		Traffic:   &model,
-		Retries:   2,
-		Brownout:  &BrownoutConfig{},
-		ChaosRate: 0.02,
-		Heal:      1,
+		// Deliberately undersized: brownout must engage.
+		SoakConfig: serve.SoakConfig{
+			Workers: 2, Queue: 2, Cores: 2, Seed: 5, Traffic: &model, Retries: 2, ChaosRate: 0.02, Heal: 1,
+		},
+		Backends: 2,
+		Brownout: &BrownoutConfig{},
 	}
 	rep, err := Soak(context.Background(), cfg)
 	if err != nil {
@@ -250,23 +240,28 @@ func TestBrownoutShedsByPriority(t *testing.T) {
 }
 
 // TestTrafficModeValidation: the resilience knobs require traffic
-// mode, and traffic mode excludes the kill schedule.
+// mode, traffic mode excludes the kill schedule, and the serving soak's
+// boot model and adaptive admission are refused in either mode.
 func TestTrafficModeValidation(t *testing.T) {
 	model := traffic.Default(1)
+	trafficMode := serve.SoakConfig{Traffic: &model}
 	for _, c := range []struct {
 		name string
 		cfg  SoakConfig
 		want string
 	}{
-		{"cores", SoakConfig{Cores: 4}, "a core count requires traffic mode"},
+		{"cores", SoakConfig{SoakConfig: serve.SoakConfig{Cores: 4}}, "a core count requires traffic mode"},
 		{"mesh", SoakConfig{Mesh: &mesh.Config{}}, "mesh requires traffic mode"},
 		{"hedge", SoakConfig{Hedge: true}, "hedging requires traffic mode"},
 		{"retry budget", SoakConfig{RetryBudget: &resilience.RetryBudgetConfig{}}, "retry budget requires traffic mode"},
 		{"outlier", SoakConfig{Outlier: &OutlierConfig{}}, "outlier ejection requires traffic mode"},
 		{"brownout", SoakConfig{Brownout: &BrownoutConfig{}}, "brownout requires traffic mode"},
 		{"vertical", SoakConfig{VerticalAdaptive: &resilience.AIMDConfig{}}, "vertical scaling requires traffic mode"},
-		{"kills", SoakConfig{Traffic: &model, Kills: []KillSpec{{At: 5}}}, "mutually exclusive"},
-		{"mesh link", SoakConfig{Traffic: &model, Mesh: &mesh.Config{Links: map[int]mesh.LinkConfig{9: {}}}}, "out of range"},
+		{"kills", SoakConfig{SoakConfig: trafficMode, Kills: []KillSpec{{At: 5}}}, "mutually exclusive"},
+		{"mesh link", SoakConfig{SoakConfig: trafficMode, Mesh: &mesh.Config{Links: map[int]mesh.LinkConfig{9: {}}}}, "out of range"},
+		{"boot model", SoakConfig{SoakConfig: serve.SoakConfig{BootModel: "warm"}}, "a boot model applies to the serving soak only"},
+		{"adaptive", SoakConfig{SoakConfig: serve.SoakConfig{Traffic: &model, Adaptive: &resilience.AIMDConfig{}}},
+			"adaptive admission applies to the serving soak only"},
 	} {
 		if _, err := Soak(context.Background(), c.cfg); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)

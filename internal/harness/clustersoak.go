@@ -41,14 +41,7 @@ func ClusterSoak(r *cluster.ClusterReport) string {
 			row.Sheds, row.BreakerDenied, row.Replayed, row.MigratedIn, row.MigratedOut, alive)
 	}
 
-	fmt.Fprintf(&b, "\n%-26s %9s %8s %8s %8s %8s %8s\n",
-		"scheme", "requests", "ok", "healed", "detected", "silent", "gave-up")
-	for _, row := range r.PerScheme {
-		fmt.Fprintf(&b, "%-26s %9d %8d %8d %8d %8d %8d\n",
-			row.Scheme, row.Requests, row.OK, row.Healed, row.Detected, row.Silent, row.GaveUp)
-	}
-	fmt.Fprintf(&b, "%-26s %9d %8d %8d %8d %8d %8d\n",
-		"total", r.Issued, r.OK, r.Healed, r.Detected, r.Silent, r.GaveUp)
+	schemeTable(&b, r.PerScheme, &r.Tally)
 
 	if r.Traffic {
 		// The chaos-mesh resilience table: per-backend health as the
@@ -77,19 +70,7 @@ func ClusterSoak(r *cluster.ClusterReport) string {
 		}
 	}
 
-	fmt.Fprintf(&b, "\ninjected faults %d | retries %d | sheds %d | breaker denied %d\n",
-		r.Injected, r.Retries, r.Sheds, r.BreakerDenied)
-	if r.Checkpoints > 0 || r.TornCommits > 0 || r.Restores > 0 {
-		fmt.Fprintf(&b, "checkpoints %d | warm restores %d | torn commits %d\n",
-			r.Checkpoints, r.Restores, r.TornCommits)
-	}
-	if len(r.Causes) > 0 {
-		parts := make([]string, 0, len(r.Causes))
-		for _, c := range r.Causes {
-			parts = append(parts, fmt.Sprintf("%s:%d", c.Scheme, c.Count))
-		}
-		fmt.Fprintf(&b, "detections by cause: %s\n", strings.Join(parts, " "))
-	}
+	faultLines(&b, &r.Tally)
 
 	if r.KilledBackend >= 0 {
 		fmt.Fprintf(&b, "\nfailover: orphans %d executing + %d queued | replayed %d | abandoned %d | budget charged %d\n",

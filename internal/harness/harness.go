@@ -1,7 +1,9 @@
 // Package harness renders experiment results in the shape of the
 // paper's tables and figures, so that cmd/pacstack-bench and
 // cmd/pacstack-attack print directly comparable output and
-// EXPERIMENTS.md can record paper-vs-measured side by side.
+// EXPERIMENTS.md can record paper-vs-measured side by side. It also
+// renders the soak reports and writes the output that cmd/pacstack-soak
+// and cmd/pacstack-cluster share (SoakOutput).
 package harness
 
 import (

@@ -438,3 +438,22 @@ func TestSoakRejectsUnknownScheme(t *testing.T) {
 		t.Fatalf("err = %v, want BadRequestError", err)
 	}
 }
+
+// TestSoakReportCheck: a report passes its check only when nothing was
+// silently corrupted and every issued request reached a terminal state.
+func TestSoakReportCheck(t *testing.T) {
+	rep := &SoakReport{Tally: Tally{Issued: 5, Counts: Counts{OK: 3, Detected: 1}, GaveUp: 1}}
+	if err := rep.Check(); err != nil {
+		t.Fatalf("clean report: %v", err)
+	}
+	silent := *rep
+	silent.OK, silent.Silent = 2, 1
+	if err := silent.Check(); err == nil || !strings.Contains(err.Error(), "1 silent corruption(s)") {
+		t.Errorf("silent corruption: %v", err)
+	}
+	lost := *rep
+	lost.InFlightAtEnd = 1
+	if err := lost.Check(); err == nil || !strings.Contains(err.Error(), "not graceful") {
+		t.Errorf("request left in flight: %v", err)
+	}
+}

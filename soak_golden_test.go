@@ -66,9 +66,11 @@ func burstSoak(seed int64) serve.SoakConfig {
 // with the given kill schedule and the CLI's defaults.
 func clusterKill(kills ...cluster.KillSpec) cluster.SoakConfig {
 	return cluster.SoakConfig{
-		Backends: 3, Clients: 6, Requests: 10, Workload: "chain", Schemes: []string{"pacstack"},
-		Seed: 11, ChaosRate: 0.1, Heal: 1, Workers: 2, Retries: 3, BreakerThreshold: 8,
-		Kills: kills, MigrateLatency: 5_000, FailoverBudget: 1,
+		SoakConfig: serve.SoakConfig{
+			Clients: 6, Requests: 10, Workload: "chain", Schemes: []string{"pacstack"},
+			Seed: 11, ChaosRate: 0.1, Heal: 1, Workers: 2, Retries: 3, BreakerThreshold: 8,
+		},
+		Backends: 3, Kills: kills, MigrateLatency: 5_000, FailoverBudget: 1,
 	}
 }
 
@@ -157,10 +159,12 @@ var soakCells = []soakCell{
 	}},
 	{name: "cluster-overload", clusterCfg: func() cluster.SoakConfig {
 		return cluster.SoakConfig{
-			Backends: 3, Clients: 8, Requests: 8, Schemes: []string{"pacstack", "pacstack-nomask"},
-			Seed: 5, ChaosRate: 0.6, Workers: 1, Queue: 1, Retries: 2,
-			BreakerThreshold: 2, BreakerCooldown: 20_000,
-			Kills: []cluster.KillSpec{{At: 20_000, Backend: -1}, {At: 40_000, Backend: -1}},
+			SoakConfig: serve.SoakConfig{
+				Clients: 8, Requests: 8, Schemes: []string{"pacstack", "pacstack-nomask"},
+				Seed: 5, ChaosRate: 0.6, Workers: 1, Queue: 1, Retries: 2,
+				BreakerThreshold: 2, BreakerCooldown: 20_000,
+			},
+			Backends: 3, Kills: []cluster.KillSpec{{At: 20_000, Backend: -1}, {At: 40_000, Backend: -1}},
 		}
 	}},
 	// The open-loop replay's breaker path: chaos trips the backend
@@ -168,9 +172,12 @@ var soakCells = []soakCell{
 	// ones (probe admissions).
 	{name: "cluster-traffic-breaker", clusterCfg: func() cluster.SoakConfig {
 		return cluster.SoakConfig{
-			Backends: 3, Seed: 11, Traffic: trafficModel(traffic.Default(11), 2_000_000),
-			ChaosRate: 0.6, Workers: 1, Queue: 1, Retries: 2,
-			BreakerThreshold: 2, BreakerCooldown: 20_000,
+			SoakConfig: serve.SoakConfig{
+				Seed: 11, Traffic: trafficModel(traffic.Default(11), 2_000_000),
+				ChaosRate: 0.6, Workers: 1, Queue: 1, Retries: 2,
+				BreakerThreshold: 2, BreakerCooldown: 20_000,
+			},
+			Backends: 3,
 		}
 	}},
 }
