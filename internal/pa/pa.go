@@ -188,11 +188,11 @@ type Trace struct {
 	Strips    *telemetry.Counter // xpac strips
 	PACGAs    *telemetry.Counter // generic MACs (sigframe chain, jmp_buf)
 
-	// Events, when non-nil, receives per-operation chain events
-	// (pac_issued, auth_ok, auth_fail, mask). At serving rates this
-	// floods a bounded ring quickly — that is what the ring's drop
-	// accounting is for — so serving-path wirings usually leave it
-	// nil and keep only the counters.
+	// Events, when non-nil, receives one auth_fail event per rejected
+	// aut*. Seals, passing verifications and mask derivations are
+	// counted only: a chain request makes dozens of them, and recorded
+	// one by one they would evict every real auth_fail or kill from a
+	// bounded ring within a few dozen requests.
 	Events *telemetry.EventLog
 }
 
@@ -425,9 +425,6 @@ func (a *Authenticator) AddPAC(key KeyID, p, modifier uint64) uint64 {
 		if cp == 0 {
 			// PAC over the zero pointer: the Listing 3 mask shape.
 			tr.Masks.Inc()
-			tr.Events.Record(telemetry.EvMask, key.String(), "", modifier)
-		} else {
-			tr.Events.Record(telemetry.EvPACIssued, key.String(), "", p)
 		}
 	}
 	return cp&^a.pacMask | pac
@@ -468,7 +465,6 @@ func (a *Authenticator) Auth(key KeyID, p, modifier uint64) (res uint64, ok bool
 	if p&a.pacMask == want {
 		if tr := a.tr; tr != nil {
 			tr.AuthOK.Inc()
-			tr.Events.Record(telemetry.EvAuthOK, key.String(), "", p)
 		}
 		return cp, true
 	}

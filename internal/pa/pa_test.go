@@ -565,3 +565,44 @@ func TestRecycledMemoSharedConcurrently(t *testing.T) {
 		}
 	}
 }
+
+// TestTraceRecordsOnlyAuthFailures: a traced Authenticator counts every
+// seal, mask and verification, and records one ring event per failed
+// aut* and none for pac* or for an aut* that passes.
+func TestTraceRecordsOnlyAuthFailures(t *testing.T) {
+	a := New(testKeys(), DefaultConfig())
+	reg := telemetry.NewRegistry()
+	tr := &Trace{
+		PACIssued: reg.Counter("pac_issued", ""),
+		AuthOK:    reg.Counter("auth_ok", ""),
+		AuthFail:  reg.Counter("auth_fail", ""),
+		Masks:     reg.Counter("masks", ""),
+		Events:    telemetry.NewEventLog(64),
+	}
+	a.SetTrace(tr)
+	const n = 10
+	for i := uint64(0); i < n; i++ {
+		p, mod := 0x4000+16*i, 0x77+i
+		a.AddPAC(KeyIA, 0, mod) // the Listing 3 mask
+		signed := a.AddPAC(KeyIA, p, mod)
+		if _, ok := a.Auth(KeyIA, signed, mod); !ok {
+			t.Fatalf("round %d: a fresh seal failed to authenticate", i)
+		}
+		if _, ok := a.Auth(KeyIA, signed, mod+1); ok {
+			t.Fatalf("round %d: a seal authenticated under the wrong modifier", i)
+		}
+	}
+	if tr.PACIssued.Value() != 2*n || tr.Masks.Value() != n || tr.AuthOK.Value() != n || tr.AuthFail.Value() != n {
+		t.Errorf("counters: issued %d masks %d auth ok %d auth fail %d, want %d %d %d %d",
+			tr.PACIssued.Value(), tr.Masks.Value(), tr.AuthOK.Value(), tr.AuthFail.Value(), 2*n, n, n, n)
+	}
+	snap := tr.Events.Snapshot()
+	if snap.NextSeq != n {
+		t.Fatalf("%d ring events recorded, want %d (one per failed aut*)", snap.NextSeq, n)
+	}
+	for _, e := range snap.Events {
+		if e.Kind != telemetry.EvAuthFail {
+			t.Errorf("ring event %d is %v, want auth_fail", e.Seq, e.Kind)
+		}
+	}
+}

@@ -87,3 +87,23 @@ func TestTelemetryEndpoints(t *testing.T) {
 		t.Errorf("/v1/telemetry missing sections:\n%s", body)
 	}
 }
+
+// TestWarmChainRingEventsPerRequest: a clean warm chain request leaves
+// at most one event in the security-event ring (its checkpoint
+// restore), so the ring keeps real auth_fail and kill events for
+// thousands of requests instead of wrapping on chain operations.
+func TestWarmChainRingEventsPerRequest(t *testing.T) {
+	const requests = 50
+	tel := telemetry.New(telemetry.Options{})
+	s := New(Config{Workers: 1, Seed: 1, Warm: true, Telemetry: tel})
+	for i := int64(1); i <= requests; i++ {
+		if _, err := s.Do(context.Background(), Request{Workload: "chain", Scheme: "pacstack", Seed: i}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := tel.Log().Snapshot().NextSeq
+	t.Logf("%d ring events over %d clean warm chain requests", n, requests)
+	if n > requests {
+		t.Errorf("%d clean warm chain requests recorded %d ring events, want at most %d", requests, n, requests)
+	}
+}

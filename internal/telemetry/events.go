@@ -11,10 +11,10 @@ import (
 // and dump diffs key on the string names below.
 type EventKind uint8
 
-// The event taxonomy. Chain-level kinds (issued/auth/mask) fire per
-// PA operation and are only recorded when a component is explicitly
-// wired for chain tracing — at serving rates they would swamp the
-// ring, which is precisely what the drop accounting is for.
+// The event taxonomy. Of the chain-level kinds only auth_fail is
+// recorded (pa.Trace). pac_issued, auth_ok and mask would fire once per
+// PA operation and swamp the ring, so internal/pa only counts those
+// operations; the kinds stay defined so dumps that carry them parse.
 const (
 	// EvPACIssued: a pac* instruction sealed a pointer (pacia/pacib).
 	EvPACIssued EventKind = iota
