@@ -33,11 +33,12 @@
 //	               [-read-timeout D] [-idle-timeout D]
 //
 // With -state-dir, the daemon opens an on-disk snapshot store there at
-// startup, logs its recovery report (prior shutdown checkpoints, crash
-// anomalies — detected, never silent), and on graceful shutdown
-// commits one final boot-state snapshot per served scheme after the
-// drain completes, so the next incarnation (or a migration target)
-// restores from a quiescent image and re-seeds its own PA keys.
+// startup and logs its recovery report (the newest valid shutdown
+// checkpoint, crash anomalies — detected, never silent), and on
+// graceful shutdown commits one final boot-state snapshot per served
+// scheme after the drain completes. Nothing restores those snapshots:
+// the recovered checkpoint is only reported, and requests run on
+// freshly booted or pooled machines with or without the flag.
 //
 // The daemon serves warm by default: each (workload, scheme) pair gets
 // a snapshot-fork pool (internal/pool) holding booted, hardened
@@ -117,11 +118,11 @@ func main() {
 		PoolMachines:     *poolMachines,
 	})
 
-	// -state-dir makes shutdown durable: the previous incarnation's
-	// final checkpoint is recovered (and its report logged — anomalies
-	// here are crash evidence, never silent) before we take traffic,
-	// and a fresh boot-state snapshot per served scheme is committed
-	// after the drain below.
+	// -state-dir: the store's recovery pass runs and its report is
+	// logged before we take traffic (anomalies here are crash evidence,
+	// never silent), and a fresh boot-state snapshot per served scheme
+	// is committed after the drain below. The recovered checkpoint is
+	// reported, not restored.
 	var stateStore *snap.Store
 	if *stateDir != "" {
 		fs, err := snap.NewDirFS(*stateDir)

@@ -15,8 +15,9 @@ import (
 // anything) into st, and returns how many landed. It is the last act
 // of a graceful shutdown: per-request snapshot stores die with their
 // requests, so the durable record a drained daemon leaves behind is a
-// set of chain-neutral images the next incarnation — or a migration
-// target — can restore and re-seed safely (kernel.Process.ReseedKeys).
+// set of chain-neutral images that a restore could re-seed safely
+// (kernel.Process.ReseedKeys). The daemons do not restore them; their
+// next start only runs recovery over the store and logs the report.
 // The commits run on fresh kernels seeded from the server seed; they
 // do not touch serving state and are safe after Drain.
 func (s *Server) FinalCheckpoint(st *snap.Store) (int, error) {
