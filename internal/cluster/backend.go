@@ -159,9 +159,6 @@ func (b *Backend) adopt(m *Machine) {
 // wiring its transition and probe-order events into the telemetry set
 // (nil-safe) under the backend's name.
 func NewBackendBreaker(idx int, threshold int, cooldown uint64, seed int64, tel *telemetry.Set, transitions *telemetry.CounterVec) *resilience.Breaker {
-	if threshold <= 0 {
-		threshold = 8
-	}
 	name := fmt.Sprintf("backend-%d", idx)
 	log := tel.Log()
 	return resilience.NewBreaker(resilience.BreakerConfig{

@@ -156,9 +156,6 @@ func New(cfg Config) (*Pool, error) {
 // Image returns the pool's boot image.
 func (p *Pool) Image() *snap.BootImage { return p.boot }
 
-// Tel returns the pool's telemetry handle block.
-func (p *Pool) Tel() *Telemetry { return p.tel }
-
 // Get leases a machine: own shard first, then the overflow list, then
 // work stealing across the other shards, then growth (uncapped pools
 // only). A capped, exhausted pool returns nil — the cold-fallback

@@ -40,8 +40,8 @@ func newChainPool(t *testing.T, cfg pool.Config) (*pool.Pool, *compile.Image) {
 // image keys. The restores run concurrently so the race detector
 // sweeps the pool's lease/reset paths too.
 func TestKeyFreshness(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	pl, _ := newChainPool(t, pool.Config{Seed: 3, Tel: pool.NewTelemetry(reg)})
+	tel := pool.NewTelemetry(telemetry.NewRegistry())
+	pl, _ := newChainPool(t, pool.Config{Seed: 3, Tel: tel})
 
 	const n = 8
 	machines := make([]*pool.Machine, n)
@@ -88,19 +88,19 @@ func TestKeyFreshness(t *testing.T) {
 		seals[seal] = i
 	}
 
-	if v := pl.Tel().KeyViolations.Value(); v != 0 {
+	if v := tel.KeyViolations.Value(); v != 0 {
 		t.Fatalf("key violations counted on fresh restores: %d", v)
 	}
-	if r := pl.Tel().Restores.Value(); r != n {
+	if r := tel.Restores.Value(); r != n {
 		t.Fatalf("restores counter %d, want %d", r, n)
 	}
-	if occ := pl.Tel().Occupancy.Value(); occ != n {
+	if occ := tel.Occupancy.Value(); occ != n {
 		t.Fatalf("occupancy %d with %d leased", occ, n)
 	}
 	for _, m := range machines {
 		pl.Put(m)
 	}
-	if occ := pl.Tel().Occupancy.Value(); occ != 0 {
+	if occ := tel.Occupancy.Value(); occ != 0 {
 		t.Fatalf("occupancy %d after returning every lease", occ)
 	}
 }
@@ -148,8 +148,8 @@ func TestDrawParity(t *testing.T) {
 // the next lease and counts it — the serving layer's signal to cold
 // boot.
 func TestColdFallback(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	pl, _ := newChainPool(t, pool.Config{Seed: 3, MaxMachines: 2, Tel: pool.NewTelemetry(reg)})
+	tel := pool.NewTelemetry(telemetry.NewRegistry())
+	pl, _ := newChainPool(t, pool.Config{Seed: 3, MaxMachines: 2, Tel: tel})
 	a, b := pl.Get(), pl.Get()
 	if a == nil || b == nil {
 		t.Fatal("capped pool refused leases under its cap")
@@ -157,7 +157,7 @@ func TestColdFallback(t *testing.T) {
 	if m := pl.Get(); m != nil {
 		t.Fatal("capped pool grew past MaxMachines")
 	}
-	if v := pl.Tel().ColdFallback.Value(); v != 1 {
+	if v := tel.ColdFallback.Value(); v != 1 {
 		t.Fatalf("cold fallbacks %d, want 1", v)
 	}
 	pl.Put(a)

@@ -14,8 +14,8 @@ const (
 	BreakerClosed BreakerState = iota
 	// BreakerOpen: traffic is failed fast until the cooldown expires.
 	BreakerOpen
-	// BreakerHalfOpen: a limited number of probe requests are let
-	// through; one success closes the breaker, one failure re-opens it.
+	// BreakerHalfOpen: one probe request is let through; its success
+	// closes the breaker, its failure re-opens it.
 	BreakerHalfOpen
 )
 
@@ -41,9 +41,6 @@ type BreakerConfig struct {
 	// probes through, in the caller's time units (nanoseconds under
 	// wall clock, simulated cycles in the soak).
 	Cooldown uint64
-	// HalfOpenProbes is how many concurrent probes half-open admits;
-	// 0 means 1.
-	HalfOpenProbes int
 	// OnTransition, when non-nil, is called on every state change with
 	// the driving timestamp and the states either side. It runs with
 	// the breaker's lock held: it must be fast and must not call back
@@ -69,13 +66,13 @@ type BreakerConfig struct {
 // and virtual-time traffic in the deterministic soak simulator.
 // All methods are safe for concurrent use.
 type Breaker struct {
-	mu     sync.Mutex
-	cfg    BreakerConfig
-	state  BreakerState
-	fails  int    // consecutive failures while closed
-	until  uint64 // when the open cooldown expires
-	probes int    // probes granted since entering half-open
-	opens  uint64 // cumulative closed/half-open -> open transitions
+	mu      sync.Mutex
+	cfg     BreakerConfig
+	state   BreakerState
+	fails   int    // consecutive failures while closed
+	until   uint64 // when the open cooldown expires
+	probing bool   // half-open has granted its one probe
+	opens   uint64 // cumulative closed/half-open -> open transitions
 }
 
 // NewBreaker returns a closed breaker.
@@ -83,15 +80,12 @@ func NewBreaker(cfg BreakerConfig) *Breaker {
 	if cfg.Threshold < 1 {
 		cfg.Threshold = 1
 	}
-	if cfg.HalfOpenProbes < 1 {
-		cfg.HalfOpenProbes = 1
-	}
 	return &Breaker{cfg: cfg}
 }
 
 // Allow reports whether a request may proceed at time now. In the
 // open state it transitions to half-open once the cooldown has
-// expired; in half-open it grants up to HalfOpenProbes probes.
+// expired; in half-open it grants one probe.
 func (b *Breaker) Allow(now uint64) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -108,16 +102,16 @@ func (b *Breaker) allowLocked(now uint64) bool {
 			return false
 		}
 		b.state = BreakerHalfOpen
-		b.probes = 0
+		b.probing = false
 		if b.cfg.OnTransition != nil {
 			b.cfg.OnTransition(now, BreakerOpen, BreakerHalfOpen)
 		}
 		fallthrough
 	default: // half-open
-		if b.probes >= b.cfg.HalfOpenProbes {
+		if b.probing {
 			return false
 		}
-		b.probes++
+		b.probing = true
 		return true
 	}
 }
@@ -139,10 +133,10 @@ func (b *Breaker) probeRank(id uint64) uint64 {
 // seeded tie-break (Seed, open episode, id; equal hashes fall back to
 // the smaller id) and then admitted in that order through the same
 // state machine Allow runs: a closed breaker grants all of them, an
-// open one none, a half-open one the first HalfOpenProbes of the
-// chosen order. It returns the granted ids, in grant order; when the
-// batch met a half-open breaker, OnProbe exports the full chosen order
-// and the grant count — the deterministic record of who won the race.
+// open one none, a half-open one the first of the chosen order. It
+// returns the granted ids, in grant order; when the batch met a
+// half-open breaker, OnProbe exports the full chosen order and the
+// grant count — the deterministic record of who won the race.
 //
 // A nil or empty batch returns nil. The deterministic soak feeds every
 // same-virtual-instant arrival batch through here, which is what makes

@@ -7,12 +7,9 @@ import (
 
 // newHalfOpenBreaker trips a breaker and moves its cooldown past `at`,
 // so the next admission decision happens in the half-open state.
-func newHalfOpenBreaker(t *testing.T, probes int, seed int64, onProbe func(now uint64, order []uint64, granted int)) *Breaker {
+func newHalfOpenBreaker(t *testing.T, seed int64, onProbe func(now uint64, order []uint64, granted int)) *Breaker {
 	t.Helper()
-	b := NewBreaker(BreakerConfig{
-		Threshold: 1, Cooldown: 10, HalfOpenProbes: probes,
-		Seed: seed, OnProbe: onProbe,
-	})
+	b := NewBreaker(BreakerConfig{Threshold: 1, Cooldown: 10, Seed: seed, OnProbe: onProbe})
 	b.Record(0, false)
 	if got := b.State(0); got != BreakerOpen {
 		t.Fatalf("state after trip = %v, want open", got)
@@ -21,8 +18,8 @@ func newHalfOpenBreaker(t *testing.T, probes int, seed int64, onProbe func(now u
 }
 
 // TestGrantProbesDeterministicOrder: the same candidate set presented
-// in any order yields the same seeded grant order, and exactly
-// HalfOpenProbes candidates win.
+// in any order yields the same seeded grant order, and exactly one
+// candidate wins.
 func TestGrantProbesDeterministicOrder(t *testing.T) {
 	ids := []uint64{7, 3, 11, 5, 2}
 	perms := [][]uint64{
@@ -35,16 +32,16 @@ func TestGrantProbesDeterministicOrder(t *testing.T) {
 	for i, perm := range perms {
 		var order []uint64
 		var grantedN int
-		b := newHalfOpenBreaker(t, 2, 42, func(_ uint64, o []uint64, g int) {
+		b := newHalfOpenBreaker(t, 42, func(_ uint64, o []uint64, g int) {
 			order = append([]uint64(nil), o...)
 			grantedN = g
 		})
 		granted := b.GrantProbes(100, perm)
-		if len(granted) != 2 {
-			t.Fatalf("perm %d: granted %d probes, want 2", i, len(granted))
+		if len(granted) != 1 {
+			t.Fatalf("perm %d: granted %d probes, want 1", i, len(granted))
 		}
-		if grantedN != 2 {
-			t.Fatalf("perm %d: OnProbe reported %d grants, want 2", i, grantedN)
+		if grantedN != 1 {
+			t.Fatalf("perm %d: OnProbe reported %d grants, want 1", i, grantedN)
 		}
 		if len(order) != len(ids) {
 			t.Fatalf("perm %d: exported order has %d ids, want %d", i, len(order), len(ids))
@@ -62,15 +59,15 @@ func TestGrantProbesDeterministicOrder(t *testing.T) {
 		}
 	}
 
-	// A different seed must be allowed to choose a different winner set
-	// ordering for the same candidates (not asserted to differ — just
-	// exercised to be deterministic per seed).
-	b1 := newHalfOpenBreaker(t, 2, 1, nil)
-	b2 := newHalfOpenBreaker(t, 1, 1, nil)
+	// A different seed may choose a different winner for the same
+	// candidates (not asserted to differ — just exercised to be
+	// deterministic per seed).
+	b1 := newHalfOpenBreaker(t, 1, nil)
+	b2 := newHalfOpenBreaker(t, 1, nil)
 	g1 := b1.GrantProbes(100, ids)
 	g2 := b2.GrantProbes(100, ids)
-	if len(g1) != 2 || len(g2) != 1 {
-		t.Fatalf("grants = %d, %d; want 2, 1", len(g1), len(g2))
+	if len(g1) != 1 || len(g2) != 1 {
+		t.Fatalf("grants = %d, %d; want 1, 1", len(g1), len(g2))
 	}
 	if g1[0] != g2[0] {
 		t.Fatalf("same seed, same episode: first grant %d vs %d, want identical", g1[0], g2[0])
@@ -86,13 +83,13 @@ func TestGrantProbesStates(t *testing.T) {
 		t.Fatalf("closed breaker granted %d of 3", len(got))
 	}
 
-	open := newHalfOpenBreaker(t, 1, 9, nil)
+	open := newHalfOpenBreaker(t, 9, nil)
 	if got := open.GrantProbes(5, []uint64{1, 2, 3}); len(got) != 0 {
 		t.Fatalf("open breaker mid-cooldown granted %d probes", len(got))
 	}
 
 	fired := 0
-	half := newHalfOpenBreaker(t, 1, 9, func(_ uint64, _ []uint64, _ int) { fired++ })
+	half := newHalfOpenBreaker(t, 9, func(_ uint64, _ []uint64, _ int) { fired++ })
 	granted := half.GrantProbes(100, []uint64{10, 20, 30})
 	if len(granted) != 1 {
 		t.Fatalf("half-open granted %d probes, want 1", len(granted))

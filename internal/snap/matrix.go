@@ -23,6 +23,7 @@ import (
 
 	"pacstack/internal/compile"
 	"pacstack/internal/cpu"
+	"pacstack/internal/fault"
 	"pacstack/internal/ir"
 	"pacstack/internal/kernel"
 	"pacstack/internal/pa"
@@ -212,17 +213,6 @@ func matrixMix(vs ...int64) int64 {
 
 const matrixRunBudget = 1 << 22
 
-// harden applies the scheme's sigreturn hardening, matching
-// internal/fault's policy.
-func harden(s compile.Scheme, p *kernel.Process) {
-	switch s {
-	case compile.SchemePACStack:
-		p.FullFrameSigreturn = true
-	case compile.SchemePACStackNoMask:
-		p.HardenedSigreturn = true
-	}
-}
-
 // seedRun holds one seed's golden lineage: the two mid-run snapshot
 // images, the replay slicing that produced them, and the final-state
 // image every replay must reproduce byte-for-byte.
@@ -241,7 +231,7 @@ func (c MatrixConfig) boot(img *compile.Image, seed int64) (*kernel.Process, err
 	if err != nil {
 		return nil, err
 	}
-	harden(c.Scheme, p)
+	fault.Harden(c.Scheme, p)
 	return p, nil
 }
 
