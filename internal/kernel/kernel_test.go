@@ -838,6 +838,37 @@ loop:
 	}
 }
 
+// TestRestoreUndoesSignalFrame: the signal frame the kernel writes
+// onto the user stack marks its page dirty, so restoring the
+// checkpoint the process last restored, which rewrites only the pages
+// written since, takes the frame back out.
+func TestRestoreUndoesSignalFrame(t *testing.T) {
+	p := boot(t, signalProgram)
+	cp := p.Checkpoint()
+	for i := range cp.Pages { // Checkpoint aliases the live frames
+		cp.Pages[i].Data = bytes.Clone(cp.Pages[i].Data)
+	}
+	if err := p.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	if err := p.DeliverSignal(p.Tasks[0], 11, p.Prog.MustLookup("handler"), p.Prog.MustLookup("tramp")); err != nil {
+		t.Fatal(err)
+	}
+	frame := p.Tasks[0].M.Reg(isa.SP)
+	if pc, err := p.Mem.Read64(frame); err != nil || pc == 0 {
+		t.Fatalf("no signal frame at %#x (saved PC %#x, %v)", frame, pc, err)
+	}
+	if err := p.Restore(cp); err != nil {
+		t.Fatal(err)
+	}
+	got := p.Mem.Pages()
+	for i, ps := range cp.Pages {
+		if got[i].Addr != ps.Addr || got[i].Perm != ps.Perm || !bytes.Equal(got[i].Data, ps.Data) {
+			t.Errorf("page %#x differs from the checkpoint after the restore", ps.Addr)
+		}
+	}
+}
+
 // TestRestoreRefusesOtherPageSet pins that Restore loads only a
 // checkpoint of the pages the process maps, and that a refused one
 // leaves the process as it was.

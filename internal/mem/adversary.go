@@ -29,7 +29,7 @@ func (a *Adversary) Peek(addr uint64) (uint64, error) {
 	if off+8 > PageSize {
 		return 0, &Fault{Addr: addr, Kind: AccessRead, Reason: "access straddles page boundary"}
 	}
-	return le64(pg.data[off:]), nil
+	return le64(pg.frame()[off:]), nil
 }
 
 // Poke writes a 64-bit word to any mapped non-executable page. Writes
@@ -46,7 +46,7 @@ func (a *Adversary) Poke(addr, v uint64) error {
 	if off+8 > PageSize {
 		return &Fault{Addr: addr, Kind: AccessWrite, Reason: "access straddles page boundary"}
 	}
-	putLE64(pg.data[off:], v)
+	putLE64(a.m.back(addr/PageSize, pg)[off:], v)
 	return nil
 }
 

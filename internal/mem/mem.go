@@ -1,6 +1,11 @@
 // Package mem provides the simulated process address space: sparse,
 // paged, little-endian memory with per-page permissions.
 //
+// A page gets its 4 KiB frame on its first write; until then it reads
+// as zeros through one shared zero frame. Every write marks its page
+// dirty, so reloading the snapshot a space last loaded (Reload, the
+// warm pool's per-lease restore) rewrites only the pages written since.
+//
 // The W⊕X policy of the PACStack adversary model (assumption A1) is
 // enforced structurally: a page can never be mapped or re-protected
 // as both writable and executable, and the adversary's raw-access
@@ -9,6 +14,7 @@
 package mem
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -85,9 +91,25 @@ func (f *Fault) Error() string {
 // PageSize is the simulated page granularity.
 const PageSize = 4096
 
+// A page's frame is nil until the page is first written; a frameless
+// page reads as zeroFrame. dirty records a write since the page was
+// mapped or last restored by Reload, and implies a frame.
 type page struct {
-	perm Perm
-	data [PageSize]byte
+	perm  Perm
+	dirty bool
+	data  *[PageSize]byte
+}
+
+// zeroFrame is what every frameless page reads as. Nothing writes it:
+// a write gives its page a frame of its own first (Memory.back).
+var zeroFrame [PageSize]byte
+
+// frame returns the bytes a read of pg sees.
+func (pg *page) frame() *[PageSize]byte {
+	if pg.data == nil {
+		return &zeroFrame
+	}
+	return pg.data
 }
 
 // Memory is one simulated address space. It is not safe for
@@ -100,22 +122,45 @@ type Memory struct {
 	// re-walk pages after a Map or Protect.
 	gen uint64
 
-	// Data lookaside: the last page served for a read and for a write,
-	// with the permission check already passed. A nil page marks the
-	// entry invalid; Map, Protect and Reload invalidate both (any
-	// mapping or permission change might revoke what the entry
-	// proved), so the fast path needs no generation compare. Clone
-	// starts without entries — its pages are fresh objects.
-	lrNum uint64 // page number of lrPg
-	lrPg  *page  // last read-permitted page, or nil
+	// Data lookaside: the frame of the last page served for a read and
+	// for a write, with the permission check already passed. A nil
+	// frame marks the entry invalid; Map, Protect and Reload invalidate
+	// both (any mapping or permission change might revoke what the
+	// entry proved), so the fast path needs no generation compare. The
+	// read entry may hold the zero frame for a frameless page, until a
+	// write backs that page and moves it; the write entry only ever
+	// holds a backed, dirty page. Clone starts without entries — its
+	// frames are fresh objects.
+	lrNum uint64          // page number of lrFr
+	lrFr  *[PageSize]byte // last read-permitted frame, or nil
 	lwNum uint64
-	lwPg  *page // last write-permitted page, or nil
+	lwFr  *[PageSize]byte // last write-permitted frame, or nil
+
+	// loaded is the first page of the snapshot the last Reload
+	// restored; a Map or Protect since clears it. Pages not dirty
+	// since then still hold that snapshot's bytes and permissions.
+	loaded *PageState
 }
 
 // dropTLB invalidates the data lookaside entries.
 func (m *Memory) dropTLB() {
-	m.lrPg = nil
-	m.lwPg = nil
+	m.lrFr = nil
+	m.lwFr = nil
+}
+
+// back readies page num for a write: a frameless page gets a zeroed
+// frame of its own, and a read lookaside entry serving the zero frame
+// for it moves onto the new frame. The page is marked dirty, and its
+// frame returned. Every path that writes a frame goes through here.
+func (m *Memory) back(num uint64, pg *page) *[PageSize]byte {
+	if pg.data == nil {
+		pg.data = new([PageSize]byte)
+		if m.lrFr != nil && m.lrNum == num {
+			m.lrFr = pg.data
+		}
+	}
+	pg.dirty = true
+	return pg.data
 }
 
 // New returns an empty address space.
@@ -130,20 +175,26 @@ func New() *Memory {
 func (m *Memory) Gen() uint64 { return m.gen }
 
 // Clone returns a deep copy of the address space: the copy-on-write
-// effect of fork, fully materialized. Used by the kernel's fork and
-// by attack harnesses that replay a process from a snapshot.
+// effect of fork, materialized for every page that has a frame (a
+// frameless page stays frameless). Used by the kernel's fork and by
+// attack harnesses that replay a process from a snapshot.
 func (m *Memory) Clone() *Memory {
 	c := &Memory{pages: make(map[uint64]*page, len(m.pages)), gen: m.gen}
 	for k, pg := range m.pages {
 		cp := *pg
+		if pg.data != nil {
+			cp.data = new([PageSize]byte)
+			*cp.data = *pg.data
+		}
 		c.pages[k] = &cp
 	}
 	return c
 }
 
 // Map creates pages covering [addr, addr+size) with the given
-// permissions. Mapping W+X is rejected (W⊕X), as is overlapping an
-// existing mapping.
+// permissions. The pages read as zeros and get their frames on first
+// write. Mapping W+X is rejected (W⊕X), as is overlapping an existing
+// mapping.
 func (m *Memory) Map(addr, size uint64, perm Perm) error {
 	if perm&PermW != 0 && perm&PermX != 0 {
 		return fmt.Errorf("mem: W+X mapping at %#x violates W⊕X", addr)
@@ -163,6 +214,7 @@ func (m *Memory) Map(addr, size uint64, perm Perm) error {
 	}
 	m.gen++
 	m.dropTLB()
+	m.loaded = nil
 	return nil
 }
 
@@ -184,6 +236,7 @@ func (m *Memory) Protect(addr, size uint64, perm Perm) error {
 	}
 	m.gen++
 	m.dropTLB()
+	m.loaded = nil
 	return nil
 }
 
@@ -223,9 +276,9 @@ func (m *Memory) access(addr uint64, n int, kind AccessKind, need Perm) (*page, 
 
 // Read64 loads a little-endian 64-bit word.
 func (m *Memory) Read64(addr uint64) (uint64, error) {
-	if pg := m.lrPg; pg != nil && addr/PageSize == m.lrNum {
+	if fr := m.lrFr; fr != nil && addr/PageSize == m.lrNum {
 		if off := addr % PageSize; off <= PageSize-8 {
-			return le64(pg.data[off:]), nil
+			return le64(fr[off:]), nil
 		}
 		// Page-straddling word: fall through for the exact fault.
 	}
@@ -233,15 +286,16 @@ func (m *Memory) Read64(addr uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	m.lrNum, m.lrPg = addr/PageSize, pg
-	return le64(pg.data[off:]), nil
+	fr := pg.frame()
+	m.lrNum, m.lrFr = addr/PageSize, fr
+	return le64(fr[off:]), nil
 }
 
 // Write64 stores a little-endian 64-bit word.
 func (m *Memory) Write64(addr, v uint64) error {
-	if pg := m.lwPg; pg != nil && addr/PageSize == m.lwNum {
+	if fr := m.lwFr; fr != nil && addr/PageSize == m.lwNum {
 		if off := addr % PageSize; off <= PageSize-8 {
-			putLE64(pg.data[off:], v)
+			putLE64(fr[off:], v)
 			return nil
 		}
 	}
@@ -249,36 +303,39 @@ func (m *Memory) Write64(addr, v uint64) error {
 	if err != nil {
 		return err
 	}
-	m.lwNum, m.lwPg = addr/PageSize, pg
-	putLE64(pg.data[off:], v)
+	fr := m.back(addr/PageSize, pg)
+	m.lwNum, m.lwFr = addr/PageSize, fr
+	putLE64(fr[off:], v)
 	return nil
 }
 
 // Read8 loads one byte.
 func (m *Memory) Read8(addr uint64) (byte, error) {
-	if pg := m.lrPg; pg != nil && addr/PageSize == m.lrNum {
-		return pg.data[addr%PageSize], nil
+	if fr := m.lrFr; fr != nil && addr/PageSize == m.lrNum {
+		return fr[addr%PageSize], nil
 	}
 	pg, off, err := m.access(addr, 1, AccessRead, PermR)
 	if err != nil {
 		return 0, err
 	}
-	m.lrNum, m.lrPg = addr/PageSize, pg
-	return pg.data[off], nil
+	fr := pg.frame()
+	m.lrNum, m.lrFr = addr/PageSize, fr
+	return fr[off], nil
 }
 
 // Write8 stores one byte.
 func (m *Memory) Write8(addr uint64, v byte) error {
-	if pg := m.lwPg; pg != nil && addr/PageSize == m.lwNum {
-		pg.data[addr%PageSize] = v
+	if fr := m.lwFr; fr != nil && addr/PageSize == m.lwNum {
+		fr[addr%PageSize] = v
 		return nil
 	}
 	pg, off, err := m.access(addr, 1, AccessWrite, PermW)
 	if err != nil {
 		return err
 	}
-	m.lwNum, m.lwPg = addr/PageSize, pg
-	pg.data[off] = v
+	fr := m.back(addr/PageSize, pg)
+	m.lwNum, m.lwFr = addr/PageSize, fr
+	fr[off] = v
 	return nil
 }
 
@@ -329,7 +386,7 @@ func (m *Memory) ReadBytes(addr, size uint64) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		copy(out[done:], pg.data[off:off+n])
+		copy(out[done:], pg.frame()[off:off+n])
 		done += uint64(n)
 	}
 	return out, nil
@@ -350,7 +407,7 @@ func (m *Memory) WriteBytes(addr uint64, b []byte) error {
 		if err != nil {
 			return err
 		}
-		copy(pg.data[off:off+n], b[done:done+n])
+		copy(m.back(a/PageSize, pg)[off:off+n], b[done:done+n])
 		done += n
 	}
 	return nil
@@ -366,13 +423,14 @@ type PageState struct {
 }
 
 // Pages returns every mapped page sorted by address. Each Data slice
-// aliases the live page rather than copying it, so it shows the page
+// aliases the live frame rather than copying it, so it shows the page
 // as it is now only until the memory is next written; a caller that
-// keeps it longer must copy it.
+// keeps it longer must copy it. A frameless page's Data is the shared
+// zero frame. No caller may write through any Data slice.
 func (m *Memory) Pages() []PageState {
 	out := make([]PageState, 0, len(m.pages))
 	for num, pg := range m.pages {
-		out = append(out, PageState{Addr: num * PageSize, Perm: pg.perm, Data: pg.data[:]})
+		out = append(out, PageState{Addr: num * PageSize, Perm: pg.perm, Data: pg.frame()[:]})
 	}
 	slices.SortFunc(out, func(a, b PageState) int { return cmp.Compare(a.Addr, b.Addr) })
 	return out
@@ -413,11 +471,18 @@ func CheckPages(pages []PageState) error {
 }
 
 // Reload overwrites the address space in place with a page snapshot
-// of exactly the pages it maps: each page frame takes the snapshot's
-// data, zero-extended, and permission. The frames stay m's own:
-// nothing aliases the snapshot's data. A snapshot that fails
-// CheckPages or maps other pages than m is refused, and m is left as
-// it was.
+// of exactly the pages it maps: each page takes the snapshot's data,
+// zero-extended, and permission. The frames stay m's own: nothing
+// aliases the snapshot's data. A page that has a frame keeps it,
+// cleared past the snapshot's data; a frameless page stays frameless
+// when its snapshot data is all zero. A snapshot that fails CheckPages
+// or maps other pages than m is refused, and m is left as it was.
+//
+// Reloading the snapshot m last loaded, with no Map or Protect since,
+// rewrites only the pages written since then. "The same snapshot"
+// means the same first element, so a snapshot must not change after
+// it is reloaded; a decoded boot image (snap.BootImage) never does.
+// Every Reload bumps Gen.
 func (m *Memory) Reload(pages []PageState) error {
 	if err := CheckPages(pages); err != nil {
 		return err
@@ -432,11 +497,27 @@ func (m *Memory) Reload(pages []PageState) error {
 			return fmt.Errorf("mem: snapshot maps page %#x, which the space does not", ps.Addr)
 		}
 	}
+	var first *PageState
+	if len(pages) > 0 {
+		first = &pages[0]
+	}
+	again := first != nil && first == m.loaded
 	for _, ps := range pages {
 		pg := m.pages[ps.Addr/PageSize]
+		if again && !pg.dirty {
+			continue
+		}
 		pg.perm = ps.Perm
+		pg.dirty = false
+		if pg.data == nil {
+			if bytes.Equal(ps.Data, zeroFrame[:len(ps.Data)]) {
+				continue
+			}
+			pg.data = new([PageSize]byte)
+		}
 		clear(pg.data[copy(pg.data[:], ps.Data):])
 	}
+	m.loaded = first
 	m.gen++
 	m.dropTLB()
 	return nil

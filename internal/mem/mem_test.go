@@ -3,6 +3,7 @@ package mem
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -421,8 +422,8 @@ func TestTLBStraddleStillFaultsExactly(t *testing.T) {
 }
 
 func TestTLBCloneStartsCold(t *testing.T) {
-	// Clone builds fresh page objects; a lookaside primed on the
-	// source must not alias them — writes through it stay in the
+	// Clone builds fresh page objects and frames; a lookaside primed on
+	// the source must not alias them — writes through it stay in the
 	// source, and the clone diverges permissions independently.
 	m := New()
 	mustMap(t, m, 0x1000, PageSize, PermRW)
@@ -445,9 +446,9 @@ func TestTLBCloneStartsCold(t *testing.T) {
 }
 
 func TestTLBSeesInPlaceMutation(t *testing.T) {
-	// The lookaside caches the page object, not its bytes: an
-	// adversary Poke mutating the page in place must be visible to a
-	// lookaside-hit read immediately.
+	// The lookaside caches the page's frame, not a copy of its bytes:
+	// an adversary Poke mutating the page in place must be visible to
+	// a lookaside-hit read immediately.
 	m := New()
 	mustMap(t, m, 0x1000, PageSize, PermRW)
 	if err := m.Write64(0x1000, 0xAAAA); err != nil {
@@ -562,4 +563,209 @@ func TestCheckPages(t *testing.T) {
 	if err := CheckPages([]PageState{{Addr: 0x3000, Perm: PermRW}, {Addr: 0x1000, Perm: PermRW}}); err != nil {
 		t.Errorf("pages out of address order but distinct rejected: %v", err)
 	}
+}
+
+// reloadedSpace maps five pages and loads a snapshot of them: a data
+// page with bytes, two all-zero data pages, a read-only page and a
+// code page. The first Reload of a space rewrites every page.
+func reloadedSpace(t *testing.T) (*Memory, []PageState) {
+	t.Helper()
+	m := New()
+	mustMap(t, m, 0x1000, 4*PageSize, PermRW)
+	mustMap(t, m, 0x8000, PageSize, PermRX)
+	snap := []PageState{
+		{Addr: 0x1000, Perm: PermRW, Data: []byte{1, 2, 3}},
+		{Addr: 0x2000, Perm: PermRW},
+		{Addr: 0x3000, Perm: PermRW, Data: make([]byte, PageSize)},
+		{Addr: 0x4000, Perm: PermR, Data: []byte{4}},
+		{Addr: 0x8000, Perm: PermRX, Data: []byte{0xd5}},
+	}
+	if err := m.Reload(snap); err != nil {
+		t.Fatal(err)
+	}
+	return m, snap
+}
+
+// checkSnapshot fails the test unless every page of m holds the
+// snapshot's permission and bytes, zero-extended.
+func checkSnapshot(t *testing.T, m *Memory, snap []PageState) {
+	t.Helper()
+	got := m.Pages()
+	if len(got) != len(snap) {
+		t.Fatalf("space maps %d pages, the snapshot %d", len(got), len(snap))
+	}
+	for i, ps := range snap {
+		want := make([]byte, PageSize)
+		copy(want, ps.Data)
+		if got[i].Addr != ps.Addr || got[i].Perm != ps.Perm || !bytes.Equal(got[i].Data, want) {
+			t.Errorf("page %#x reads back as %#x %s, not the snapshot's %s and bytes", ps.Addr, got[i].Addr, got[i].Perm, ps.Perm)
+		}
+	}
+}
+
+// writePaths is every way to write a frame: the word and byte
+// accessors (lookaside and slow path), the byte-range copy, and the
+// adversary's window. Each writes 0xfe at the address.
+var writePaths = map[string]func(m *Memory, addr uint64) error{
+	"Write64":    func(m *Memory, a uint64) error { return m.Write64(a, 0xfeedfacecafef0fe) },
+	"Write8":     func(m *Memory, a uint64) error { return m.Write8(a, 0xfe) },
+	"WriteBytes": func(m *Memory, a uint64) error { return m.WriteBytes(a, []byte{0xfe, 0xed}) },
+	"Poke":       func(m *Memory, a uint64) error { return NewAdversary(m).Poke(a, 0xfeedfacecafef0fe) },
+}
+
+// TestReloadRestoresEveryWritePath writes pages through each write
+// path, then reloads the snapshot the space last loaded, twice over. A
+// reload of the same snapshot rewrites only the pages written since,
+// so a path that does not mark its page dirty leaves its write behind.
+func TestReloadRestoresEveryWritePath(t *testing.T) {
+	for name, write := range writePaths {
+		t.Run(name, func(t *testing.T) {
+			m, snap := reloadedSpace(t)
+			for round := 0; round < 2; round++ {
+				// A page with snapshot bytes and a frameless one, each
+				// written twice so the second write can hit the lookaside.
+				for _, a := range []uint64{0x1000, 0x1008, 0x2ff0, 0x2ff8} {
+					if err := write(m, a); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := m.Reload(snap); err != nil {
+					t.Fatal(err)
+				}
+				checkSnapshot(t, m, snap)
+			}
+		})
+	}
+}
+
+// TestFramelessPageReadsZeroUntilWritten: a page reads as zeros before
+// its first write, and a read that cached the shared zero frame in the
+// lookaside sees the write that backs the page. The zero frame itself
+// stays zero.
+func TestFramelessPageReadsZeroUntilWritten(t *testing.T) {
+	for name, write := range writePaths {
+		m := New()
+		mustMap(t, m, 0x1000, PageSize, PermRW)
+		if v, err := m.Read64(0x1000); err != nil || v != 0 {
+			t.Fatalf("%s: a frameless page reads %#x, %v", name, v, err)
+		}
+		if err := write(m, 0x1000); err != nil {
+			t.Fatal(err)
+		}
+		if b, err := m.Read8(0x1000); err != nil || b != 0xfe {
+			t.Errorf("%s: the read after the first write saw %#x, %v", name, b, err)
+		}
+		if zeroFrame != [PageSize]byte{} {
+			t.Fatalf("%s wrote the shared zero frame", name)
+		}
+	}
+}
+
+// TestMapBacksNoFrame: mapping, reading, listing and cloning a page
+// leave it frameless; only a write gives it a frame, and Clone copies
+// only the frames that exist.
+func TestMapBacksNoFrame(t *testing.T) {
+	m := New()
+	mustMap(t, m, 0x1000, 3*PageSize, PermRW)
+	if _, err := m.Read64(0x1000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.ReadBytes(0x1000, 3*PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewAdversary(m).Peek(0x2000); err != nil {
+		t.Fatal(err)
+	}
+	for _, ps := range m.Pages() {
+		if len(ps.Data) != PageSize {
+			t.Fatalf("page %#x lists %d bytes of data", ps.Addr, len(ps.Data))
+		}
+	}
+	if err := m.Write64(0x3000, 1); err != nil {
+		t.Fatal(err)
+	}
+	for name, space := range map[string]*Memory{"space": m, "clone": m.Clone()} {
+		for num, pg := range space.pages {
+			if backed := pg.data != nil; backed != (num == 3) {
+				t.Errorf("%s: page %#x has a frame: %v, want one only on the written page", name, num*PageSize, backed)
+			}
+		}
+	}
+}
+
+// TestReloadKeepsFrames: a page that has a frame keeps it across a
+// reload, cleared, so a warm reload allocates nothing; a frameless page
+// whose snapshot bytes are all zero stays frameless, whether the
+// snapshot lists no bytes or a page of zeros.
+func TestReloadKeepsFrames(t *testing.T) {
+	m, snap := reloadedSpace(t)
+	for num, pg := range m.pages {
+		if backed := pg.data != nil; backed != (num == 1 || num == 4 || num == 8) {
+			t.Errorf("page %#x has a frame: %v after the first reload", num*PageSize, backed)
+		}
+	}
+	if err := m.Write64(0x2000, 7); err != nil {
+		t.Fatal(err)
+	}
+	frame := m.pages[2].data
+	if n := testing.AllocsPerRun(10, func() {
+		if err := m.Write64(0x2000, 7); err != nil {
+			t.Fatal(err)
+		}
+		if err := m.Reload(snap); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a write and a reload of the same snapshot allocated %.0f times", n)
+	}
+	if m.pages[2].data != frame {
+		t.Error("reload dropped the frame of a page it cleared")
+	}
+	checkSnapshot(t, m, snap)
+}
+
+// tamper changes a page's bytes behind the dirty bit, the way no write
+// path may, so a test can tell a page the reload rewrote from one it
+// skipped.
+func tamper(m *Memory, addr uint64) {
+	pg := m.pages[addr/PageSize]
+	if pg.data == nil {
+		pg.data = new([PageSize]byte)
+	}
+	pg.data[0] = 0x77
+}
+
+// TestReloadRewritesOnlyDirtyPages pins when Reload may skip a page: a
+// reload of the snapshot the space last loaded skips the pages not
+// written since, but a Protect in between, or a different snapshot
+// (even one with equal contents), makes it rewrite every page's bytes
+// and permission.
+func TestReloadRewritesOnlyDirtyPages(t *testing.T) {
+	m, snap := reloadedSpace(t)
+	tamper(m, 0x3000)
+	if err := m.Reload(snap); err != nil {
+		t.Fatal(err)
+	}
+	if b, _ := m.Read8(0x3000); b != 0x77 {
+		t.Fatal("a reload of the same snapshot rewrote a page nothing wrote")
+	}
+
+	m, snap = reloadedSpace(t)
+	if err := m.Protect(0x1000, 2*PageSize, PermR); err != nil {
+		t.Fatal(err)
+	}
+	tamper(m, 0x3000)
+	if err := m.Reload(snap); err != nil {
+		t.Fatal(err)
+	}
+	checkSnapshot(t, m, snap)
+
+	m, snap = reloadedSpace(t)
+	tamper(m, 0x3000)
+	tamper(m, 0x8000)
+	other := slices.Clone(snap)
+	if err := m.Reload(other); err != nil {
+		t.Fatal(err)
+	}
+	checkSnapshot(t, m, snap)
 }
