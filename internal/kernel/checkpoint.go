@@ -152,18 +152,34 @@ func (p *Process) SharesKeys(q *Process) bool { return p.HasKeys(q.keys) }
 // page at run time, so such a process maps exactly the checkpoint's
 // pages, and Restore copies them into its own page frames: no frame
 // aliases the checkpoint. A checkpoint that maps other pages is
-// refused, with the process left as it was. The process's previous
-// Authenticator hands its memo table on to the restored one (see
-// pa.NewFrom): it stays correct, but whatever still runs on it, such
-// as a forked child, evicts the restored process's entries and so
-// moves its memo hit and miss counts.
+// refused, with the process left as it was. Restoring the checkpoint
+// the process last restored rewrites only the pages written since
+// (mem.Memory.Reload), so a checkpoint must not change once restored.
+// The process's previous Authenticator hands its memo table on to the
+// restored one (see pa.NewFrom): it stays correct, but whatever still
+// runs on it, such as a forked child, evicts the restored process's
+// entries and so moves its memo hit and miss counts.
 //
 // The restored process resumes mid-run: its tasks continue from their
 // saved PCs with their saved chain registers, and every authenticated
 // pointer in the restored memory verifies again because the keys came
 // back with it — the property the warm-restore respawn path depends
 // on.
-func (p *Process) Restore(cp *Checkpoint) error {
+func (p *Process) Restore(cp *Checkpoint) error { return p.restore(cp, false) }
+
+// Respawn is Restore into a fresh incarnation: the address space and
+// tasks come back from the checkpoint, but the PA keys are drawn from
+// the kernel entropy pool, as ReseedKeys draws them, and the process
+// gets one Authenticator, under those keys. Restore followed by
+// ReseedKeys draws the same keys; Respawn only skips the Authenticator
+// the restore would build under the checkpoint's keys. The same
+// chain-neutrality caveat applies: respawn only from a checkpoint no
+// authenticated pointer of which must verify, such as a boot image.
+func (p *Process) Respawn(cp *Checkpoint) error { return p.restore(cp, true) }
+
+// restore is Restore and Respawn: fresh draws the keys instead of
+// taking the checkpoint's.
+func (p *Process) restore(cp *Checkpoint, fresh bool) error {
 	if len(cp.Tasks) == 0 {
 		return errors.New("kernel: checkpoint has no tasks")
 	}
@@ -176,7 +192,10 @@ func (p *Process) Restore(cp *Checkpoint) error {
 	p.PID = cp.PID
 	*p.nextPID = cp.NextPID
 	p.keys = cp.Keys
-	p.Auth = pa.NewFrom(p.Auth, cp.Keys, p.k.cfg)
+	if fresh {
+		p.keys = p.k.genKeys()
+	}
+	p.Auth = pa.NewFrom(p.Auth, p.keys, p.k.cfg)
 	if p.k.tel != nil {
 		p.Auth.SetTrace(p.k.tel.Chain)
 	}

@@ -248,8 +248,10 @@ func (s *shard) pop() *Machine {
 
 // Reset turns a leased machine into a pristine fresh incarnation: the
 // address space and task state come back from the shared boot image
-// (deep-copied — see snap.BootImage), the PA keys are re-seeded and
-// the stack-protector canary re-drawn from the machine's kernel.
+// (deep-copied — see snap.BootImage) under PA keys drawn from the
+// machine's kernel (BootImage.Respawn), and the stack-protector canary
+// is re-drawn. The machine always reloads the same boot image, so the
+// restore rewrites only the pages its last request wrote.
 //
 // The kernel must have been seeded by the caller (the serving layer
 // seeds it from the request rng, exactly where the cold path seeds its
@@ -262,10 +264,9 @@ func (s *shard) pop() *Machine {
 // boot image's (§4.3): a restore that still holds the image keys is
 // refused and counted in pacstack_pool_key_violations_total.
 func (p *Pool) Reset(m *Machine) (*kernel.Process, error) {
-	if err := p.boot.Restore(m.Proc); err != nil {
+	if err := p.boot.Respawn(m.Proc); err != nil {
 		return nil, fmt.Errorf("pool: warm restore: %w", err)
 	}
-	m.Proc.ReseedKeys()
 	if err := m.Proc.Mem.Write64(p.cfg.Img.Layout.CanaryAddr(), m.K.Entropy64()); err != nil {
 		return nil, fmt.Errorf("pool: refreshing canary: %w", err)
 	}

@@ -14,13 +14,20 @@ import (
 	"pacstack/internal/telemetry"
 )
 
-func newChainPool(t *testing.T, cfg pool.Config) (*pool.Pool, *compile.Image) {
-	t.Helper()
-	eng := fault.NewEngine(fault.DefaultProgram())
-	img, err := eng.Image(compile.SchemePACStack)
+// chainImage compiles fault.DefaultProgram, the chain workload, under
+// PACStack.
+func chainImage(tb testing.TB) *compile.Image {
+	tb.Helper()
+	img, err := fault.NewEngine(fault.DefaultProgram()).Image(compile.SchemePACStack)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return img
+}
+
+func newChainPool(tb testing.TB, cfg pool.Config) (*pool.Pool, *compile.Image) {
+	tb.Helper()
+	img := chainImage(tb)
 	cfg.Img = img
 	cfg.PA = pa.DefaultConfig()
 	if cfg.Configure == nil {
@@ -28,7 +35,7 @@ func newChainPool(t *testing.T, cfg pool.Config) (*pool.Pool, *compile.Image) {
 	}
 	pl, err := pool.New(cfg)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	return pl, img
 }
@@ -188,6 +195,63 @@ func TestReuseStaysGolden(t *testing.T) {
 		}
 		if string(p.Output) != string(goldenOut) || p.ExitCode != goldenExit {
 			t.Fatalf("run %d diverged: output %q exit %d", i, p.Output, p.ExitCode)
+		}
+	}
+}
+
+// TestResetAllocations holds a warm Reset to at most 12 allocations.
+// The restore builds exactly one Authenticator, under the incarnation's
+// fresh keys, and reuses the machine's page frames and memo table;
+// what is left is the task set the restore re-spawns.
+func TestResetAllocations(t *testing.T) {
+	const budget = 12
+	pl, _ := newChainPool(t, pool.Config{Seed: 3})
+	m := pl.Get()
+	defer pl.Put(m)
+	seed := int64(100) // the image was booted at seed 3
+	reset := func() {
+		seed++
+		m.K.Seed(seed)
+		if _, err := pl.Reset(m); err != nil {
+			t.Fatal(err)
+		}
+	}
+	reset() // the first restore of a grown machine rewrites every page
+	if n := testing.AllocsPerRun(100, reset); n > budget {
+		t.Errorf("Pool.Reset makes %.0f allocations, over the budget of %d", n, budget)
+	}
+}
+
+// BenchmarkPoolLease times one warm lease of the chain pool: Get, a
+// seeded Reset (restore, re-key, canary, harden) and Put.
+func BenchmarkPoolLease(b *testing.B) {
+	pl, _ := newChainPool(b, pool.Config{Seed: 3})
+	lease := func(seed int64) {
+		m := pl.Get()
+		m.K.Seed(seed)
+		if _, err := pl.Reset(m); err != nil {
+			b.Fatal(err)
+		}
+		pl.Put(m)
+	}
+	lease(99) // grow the machine and make its first, full restore
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lease(int64(100 + i))
+	}
+}
+
+// BenchmarkImageBoot times one cold boot of the chain image: map its
+// pages, load and seal the text, draw the keys and the canary.
+func BenchmarkImageBoot(b *testing.B) {
+	img := chainImage(b)
+	k := kernel.New(pa.DefaultConfig())
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k.Seed(int64(100 + i))
+		if _, err := img.Boot(k); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

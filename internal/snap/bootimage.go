@@ -14,6 +14,10 @@
 // and TestBootImageRestoreAliasing pins it: mutate one restored
 // machine, replay another, and the replay must stay golden, whether it
 // was freshly booted or had served a request before.
+//
+// The decoded checkpoint never changes after decode. mem.Memory.Reload
+// relies on that: a machine that reloads the snapshot it last loaded rewrites
+// only the pages written since.
 package snap
 
 import (
@@ -25,7 +29,7 @@ import (
 // BootImage is a validated, decoded snapshot held in memory for
 // repeated restores. The decoded checkpoint is shared by every
 // restore and must never be mutated; all mutation happens in the
-// per-machine copies Restore makes.
+// per-machine copies Restore and Respawn make.
 type BootImage struct {
 	cp *kernel.Checkpoint
 }
@@ -58,4 +62,12 @@ func (bi *BootImage) Keys() pa.Keys { return bi.cp.Keys }
 // image and every other restored machine.
 func (bi *BootImage) Restore(p *kernel.Process) error {
 	return p.Restore(bi.cp)
+}
+
+// Respawn is Restore into a fresh incarnation: the process comes back
+// from the image under PA keys drawn from its kernel, never the
+// image's (kernel.Process.Respawn). It draws what Restore followed by
+// ReseedKeys draws, and builds one Authenticator instead of two.
+func (bi *BootImage) Respawn(p *kernel.Process) error {
+	return p.Respawn(bi.cp)
 }
