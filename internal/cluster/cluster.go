@@ -227,11 +227,17 @@ func (c *Cluster) Do(ctx context.Context, req serve.Request) (*serve.Result, err
 			}
 		}
 		res, err := b.Srv.Do(ctx, req)
-		if !refused(err) {
+		// Only an admitted attempt says anything about the backend's
+		// health; a refused one hands its probe grant back.
+		if br := b.Breaker; refused(err) {
+			if br != nil {
+				br.ReleaseProbe()
+			}
+		} else {
 			c.routed[idx].Inc()
-		}
-		if br := b.Breaker; br != nil {
-			br.Record(c.now(), serve.BackendHealthy(err))
+			if br != nil {
+				br.Record(c.now(), serve.BackendHealthy(err))
+			}
 		}
 		if err != nil && (errors.Is(err, resilience.ErrShed) || errors.Is(err, resilience.ErrDraining)) {
 			lastErr = err

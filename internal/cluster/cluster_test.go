@@ -561,3 +561,48 @@ func TestClusterSoakCascadeBeyondBudget(t *testing.T) {
 		t.Fatalf("%d migrations for 1 absorbed kill", len(rep.Migrations))
 	}
 }
+
+// TestRefusedProbeKeepsBreakerHalfOpen: a half-open backend breaker
+// grants a probe to a request that the backend then refuses (here,
+// because it is draining). Nothing ran, so the probe proved nothing:
+// the breaker must stay half-open for the next candidate, not close
+// as if the backend had served it.
+func TestRefusedProbeKeepsBreakerHalfOpen(t *testing.T) {
+	cl, err := New(Config{
+		Backends: 1, Seed: 3,
+		Backend:          serve.Config{Workers: 1, Chaos: true, ChaosRate: 1},
+		BreakerThreshold: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clock := uint64(1)
+	cl.now = func() uint64 { return clock }
+	br := cl.backends[0].Breaker
+	req := serve.Request{Workload: "chain", Scheme: "pacstack"}
+	for seed := int64(1); br.State(clock) != resilience.BreakerOpen; seed++ {
+		if seed > 20 {
+			t.Fatal("20 chaos requests raised no detected corruption")
+		}
+		req.Seed = seed
+		_, err := cl.Do(context.Background(), req)
+		var ce *serve.CorruptionError
+		if err != nil && !errors.As(err, &ce) {
+			t.Fatalf("chaos request: %v", err)
+		}
+	}
+	clock += liveBreakerCooldown
+	if st := br.State(clock); st != resilience.BreakerHalfOpen {
+		t.Fatalf("breaker reads %s after its cooldown, want half-open", st)
+	}
+	cl.backends[0].Srv.BeginDrain()
+	if _, err := cl.Do(context.Background(), req); !errors.Is(err, resilience.ErrDraining) {
+		t.Fatalf("request to a draining backend: %v, want ErrDraining", err)
+	}
+	if st := br.State(clock); st != resilience.BreakerHalfOpen {
+		t.Errorf("breaker reads %s after a refused probe, want half-open", st)
+	}
+	if !br.Allow(clock) {
+		t.Error("the next candidate was refused the probe the refused request handed back")
+	}
+}

@@ -171,6 +171,20 @@ func (b *Breaker) GrantProbes(now uint64, ids []uint64) []uint64 {
 	return granted
 }
 
+// ReleaseProbe hands back a grant that no request used: the caller was
+// granted passage and then refused before anything ran (a shed, a
+// draining backend, a bad request). A half-open breaker stays
+// half-open and grants its probe to the next candidate. In any other
+// state there is nothing to hand back. Record must not follow: the
+// refusal proved nothing about the backend's health.
+func (b *Breaker) ReleaseProbe() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.state == BreakerHalfOpen {
+		b.probing = false
+	}
+}
+
 // Record reports the outcome of a request that Allow admitted. A
 // failure while closed counts toward Threshold; any failure while
 // half-open re-opens immediately. A success closes a half-open breaker

@@ -79,6 +79,29 @@ func TestBreakerLifecycle(t *testing.T) {
 	}
 }
 
+// TestBreakerReleaseProbe: a probe grant handed back unused leaves a
+// half-open breaker half-open with its probe free again, and changes
+// nothing in a closed breaker's failure run.
+func TestBreakerReleaseProbe(t *testing.T) {
+	br := NewBreaker(BreakerConfig{Threshold: 2, Cooldown: 100})
+	br.Record(0, false)
+	br.ReleaseProbe()
+	br.Record(0, false)
+	if br.Opens() != 1 {
+		t.Fatal("a released grant on a closed breaker reset its failure run")
+	}
+	if !br.Allow(100) {
+		t.Fatal("half-open breaker denied the probe")
+	}
+	br.ReleaseProbe()
+	if st := br.State(100); st != BreakerHalfOpen {
+		t.Fatalf("state after a released probe = %v, want half-open", st)
+	}
+	if !br.Allow(100) || br.Allow(100) {
+		t.Fatal("a released probe did not go to exactly one next candidate")
+	}
+}
+
 func TestAdmissionShedsBeyondQueue(t *testing.T) {
 	a := NewAdmission(1, 1)
 	if err := a.Acquire(context.Background()); err != nil {
